@@ -10,8 +10,12 @@ triggers the dense latency/bulk tables, both pairwise-energy tables,
 both flow-usage matrices, the miss-usage table and the latency refresh
 -- on a 256-core die, blocked against unblocked.
 
-Acceptance: the blocked peak must sit at least ``MIN_RATIO`` (4x) below
-the unblocked float64 peak.  The committed
+Acceptance: absolute tracemalloc ceilings on both sides.  The blocked
+peak must stay within ``BLOCKED_CEILING_MB``, the allowance of the
+earlier ratio guard (unblocked peak 207.0 MB / 4); the exact unblocked
+float64 peak must stay within ``UNBLOCKED_CEILING_MB``, its peak when
+it was still built from per-pair Python path lists.  (A ratio guard
+would fail whenever the unblocked side gets cheaper.)  The committed
 ``results/memory_blocked_dense.json`` records both sides.
 """
 
@@ -27,7 +31,8 @@ from repro.noc.network import NocParams
 from repro.sim.memory import MemorySystem
 
 NUM_CORES = 256
-MIN_RATIO = 4.0
+UNBLOCKED_CEILING_MB = 207.0
+BLOCKED_CEILING_MB = UNBLOCKED_CEILING_MB / 4.0
 RESULT_NAME = "memory_blocked_dense.json"
 
 
@@ -49,19 +54,21 @@ def _static_table_peak(block_nodes) -> float:
 
 
 def test_blocked_dense_memory_footprint(results_dir):
-    blocked = _static_table_peak(LARGE_DIE_BLOCK_NODES)
-    unblocked = _static_table_peak(None)
-    ratio = unblocked / blocked
+    blocked = _static_table_peak(LARGE_DIE_BLOCK_NODES) / 1e6
+    unblocked = _static_table_peak(None) / 1e6
     write_result(results_dir, RESULT_NAME, json.dumps({
         "num_cores": NUM_CORES,
         "block_nodes": LARGE_DIE_BLOCK_NODES,
-        "blocked_peak_mb": blocked / 1e6,
-        "unblocked_peak_mb": unblocked / 1e6,
-        "ratio": ratio,
-        "min_ratio": MIN_RATIO,
+        "blocked_peak_mb": blocked,
+        "unblocked_peak_mb": unblocked,
+        "blocked_ceiling_mb": BLOCKED_CEILING_MB,
+        "unblocked_ceiling_mb": UNBLOCKED_CEILING_MB,
     }, indent=2))
-    assert ratio >= MIN_RATIO, (
-        f"blocked static tables peak at {blocked / 1e6:.1f} MB, only "
-        f"{ratio:.2f}x below the unblocked {unblocked / 1e6:.1f} MB "
-        f"(need >= {MIN_RATIO}x)"
+    assert blocked <= BLOCKED_CEILING_MB, (
+        f"blocked static tables peak at {blocked:.1f} MB "
+        f"(ceiling {BLOCKED_CEILING_MB:.1f} MB)"
+    )
+    assert unblocked <= UNBLOCKED_CEILING_MB, (
+        f"unblocked static tables peak at {unblocked:.1f} MB "
+        f"(ceiling {UNBLOCKED_CEILING_MB:.1f} MB)"
     )

@@ -101,8 +101,8 @@ def memory_params_for(geometry: GeometryLike) -> MemoryParams:
 def noc_params_for(die: DieGeometry) -> NocParams:
     """Flow-model parameters sized for the die.
 
-    The paper's 64-core die keeps the exact legacy configuration
-    (unblocked float64 dense tables); larger dies switch the dense layer
+    The paper's 64-core die keeps the exact float64 dense tables
+    (``dense_block_nodes=None``); larger dies switch the dense layer
     to blocked float32 builds so 256-core platforms stay within a
     bounded peak RSS.
     """

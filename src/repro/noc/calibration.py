@@ -25,6 +25,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.noc.network import FlowNetworkModel, NocParams
+from repro.noc.pathwalk import edge_resource_tables
 from repro.noc.routing import RoutingTable, build_routing_table
 from repro.noc.topology import Link, LinkKind, Topology
 from repro.noc.wireless import WirelessSpec
@@ -69,11 +70,20 @@ def channel_utilizations(
         raise ValueError(
             f"traffic {traffic_rate_bps.shape} does not match {n} nodes"
         )
-    for src in range(n):
-        for dst in range(n):
-            rate = traffic_rate_bps[src, dst]
-            if rate > 0 and src != dst:
-                model.add_flow(src, dst, rate)
+    # Every wireless hop of every loaded route adds the route's rate to
+    # its channel, in (pair, forward hop) order: the exact sequence of
+    # scalar ``add_flow`` calls over a row-major pair loop, so the sums
+    # are bit-identical to it.  (The batched ``add_flows`` mat-vec is
+    # not: it sums in csr order and adds ``2 * r`` in one step where a
+    # route crosses one channel twice, instead of ``+ r`` twice.)
+    hops = model._route_hops()
+    _, chan_col = edge_resource_tables(model)
+    order = np.argsort(hops.pair, kind="stable")
+    column = chan_col[hops.prev[order], hops.cur[order]]
+    rate = traffic_rate_bps.reshape(-1)[hops.pair[order]]
+    crossing = (column >= 0) & (rate > 0)
+    channel = column[crossing] - 2 * len(topology.links)
+    np.add.at(model.load.channel_load, channel, rate[crossing])
     return model.load.channel_load / wireless.bandwidth_bps
 
 

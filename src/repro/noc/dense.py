@@ -10,8 +10,15 @@ pieces to one sparse mat-vec (queueing) plus a ragged min (bottleneck
 capacity) over shared *resources* -- directed wire links and wireless
 channels.
 
-``tests/noc/test_dense.py`` verifies bit-equality (to float tolerance)
-against the reference per-path implementation.
+The load-independent tables come from vectorized route walks
+(:mod:`repro.noc.pathwalk`), never from per-pair Python paths: with
+``NocParams.dense_block_nodes=None`` one forward-order walk over all
+sources yields exact float64 tables, bit-identical to a scalar src-to-dst
+accumulation (``tests/noc/test_static_tables.py`` compares them byte for
+byte with per-pair reference builders); with a block size set, a blocked
+walk yields float32 tables in bounded memory for large dies.
+``tests/noc/test_dense.py`` checks the loaded latencies against the
+per-path :meth:`~repro.noc.network.FlowNetworkModel.latency`.
 """
 
 from __future__ import annotations
@@ -22,7 +29,101 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from repro.noc.network import FlowNetworkModel
+from repro.noc.pathwalk import (
+    assemble_blocked_csr, edge_resource_tables, walk_steps_block,
+)
 from repro.noc.topology import LinkKind
+
+
+def _resource_tables(model: FlowNetworkModel):
+    """Per-resource service time, raw capacity and buffer bound.
+
+    Returns ``(num_resources, service, capacity, buffer_flits)``;
+    resource columns are directed wire links (``2 * index + direction``)
+    followed by the shared wireless channels.
+    """
+    links = model.topology.links
+    num_links = len(links)
+    num_channels = max(model.wireless.num_channels, 1)
+    num_resources = 2 * num_links + num_channels
+    service = np.zeros(num_resources)
+    capacity = np.zeros(num_resources)
+    buffer_flits = np.zeros(num_resources)
+    node_freq = model._node_freq
+    params = model.params
+    for index, link in enumerate(links):
+        if link.kind is LinkKind.WIRELESS:
+            continue  # wireless hops bill against their channel
+        f_link = min(node_freq[link.a], node_freq[link.b])
+        cap = params.flit_bits * f_link / params.link_traversal_cycles
+        for direction in (0, 1):
+            resource = 2 * index + direction
+            service[resource] = params.link_traversal_cycles / f_link
+            capacity[resource] = cap
+            buffer_flits[resource] = params.wire_buffer_flits
+    for channel in range(num_channels):
+        resource = 2 * num_links + channel
+        service[resource] = params.flit_bits / model.wireless.bandwidth_bps
+        capacity[resource] = model.wireless.bandwidth_bps
+        buffer_flits[resource] = params.wi_buffer_flits
+    return num_resources, service, capacity, buffer_flits
+
+
+def _hop_head_terms(model: FlowNetworkModel, u, v, wireless):
+    """Link and synchronizer head-latency terms (s) of hops ``u -> v``.
+
+    Each is evaluated exactly as a scalar per-hop walk evaluates it: the
+    link term is the pre-summed wireless propagation + token overhead, or
+    ``link_traversal_cycles`` over the slower endpoint clock; the
+    synchronizer term is zero on same-island hops (adding ``+0.0`` to a
+    positive sum is exact).
+    """
+    node_freq = model._node_freq
+    params = model.params
+    f_link = np.minimum(node_freq[u], node_freq[v])
+    link_s = np.where(
+        wireless,
+        model.wireless.propagation_s + model.wireless.token_overhead_s,
+        params.link_traversal_cycles / f_link,
+    )
+    clusters = np.asarray(model.clusters)
+    sync_s = np.where(
+        clusters[u] != clusters[v], params.domain_sync_cycles / f_link, 0.0
+    )
+    return link_s, sync_s
+
+
+def _link_energy_tables(model: FlowNetworkModel, n: int):
+    """Per-edge ``(link pJ/bit, wireless hop count)`` tables, (n, n).
+
+    The link energy excludes the hop's router, which the builders add
+    separately.
+    """
+    params = model.energy.params
+    link_pj = np.zeros((n, n))
+    wireless = np.zeros((n, n))
+    for link in model.topology.links:
+        if link.kind is LinkKind.WIRELESS:
+            pj, radio = params.wireless_pj_per_bit, 1.0
+        else:
+            pj, radio = params.wire_pj_per_bit_per_mm * link.length_mm, 0.0
+        link_pj[link.a, link.b] = link_pj[link.b, link.a] = pj
+        wireless[link.a, link.b] = wireless[link.b, link.a] = radio
+    return link_pj, wireless
+
+
+def _binary(usage: csr_matrix) -> csr_matrix:
+    """Deduplicated membership (a pair that crosses one channel twice
+    still meets it once for min/max reductions).
+
+    *usage* has summed duplicates, so setting its data to 1 is the
+    per-pair unique-resource matrix; it shares ``usage``'s
+    indices/indptr instead of copying them.
+    """
+    return csr_matrix(
+        (np.ones_like(usage.data), usage.indices, usage.indptr),
+        shape=usage.shape,
+    )
 
 
 class DenseLatencyModel:
@@ -59,115 +160,57 @@ class DenseLatencyModel:
         self._head = static["head"]
         self._usage = static["usage"]
         self._binary_usage = static["binary_usage"]
-        self._resources_per_pair = static["resources_per_pair"]
         self._raw_bottleneck = static["raw_bottleneck"]
 
     def _build_static(self, model: FlowNetworkModel, bulk: bool) -> Dict:
+        """Exact float64 tables, or the blocked float32 build when
+        ``NocParams.dense_block_nodes`` is set.
+
+        The exact build replays, column by forward column of
+        :meth:`FlowNetworkModel._route_hops`, the per-hop ``+=`` sequence
+        of a scalar src-to-dst walk -- router pipeline, then link term,
+        then domain synchronizer, then the destination's ejection
+        pipeline -- so every head latency is bit-identical to it.
+        """
         if model.params.dense_block_nodes is not None:
             return self._build_static_blocked(
                 model, bulk, model.params.dense_block_nodes
             )
         n = self.num_nodes
-        links = model.topology.links
-        num_links = len(links)
-        num_channels = max(model.wireless.num_channels, 1)
-        num_resources = 2 * num_links + num_channels
-
-        # Per-resource service time, raw capacity and buffer bound.
-        service = np.zeros(num_resources)
-        capacity = np.zeros(num_resources)
-        buffer_flits = np.zeros(num_resources)
+        num_resources, service, capacity, buffer_flits = _resource_tables(model)
         node_freq = model._node_freq
-        params = model.params
-        for index, link in enumerate(links):
-            if link.kind is LinkKind.WIRELESS:
-                continue  # wireless hops bill against their channel
-            f_link = min(node_freq[link.a], node_freq[link.b])
-            cap = params.flit_bits * f_link / params.link_traversal_cycles
-            for direction in (0, 1):
-                resource = 2 * index + direction
-                service[resource] = params.link_traversal_cycles / f_link
-                capacity[resource] = cap
-                buffer_flits[resource] = params.wire_buffer_flits
-        for channel in range(num_channels):
-            resource = 2 * num_links + channel
-            service[resource] = params.flit_bits / model.wireless.bandwidth_bps
-            capacity[resource] = model.wireless.bandwidth_bps
-            buffer_flits[resource] = params.wi_buffer_flits
-
-        # Static head latency and path resource membership per pair.
-        head = np.zeros((n, n))
-        rows: List[int] = []
-        cols: List[int] = []
-        resources_per_pair: List[np.ndarray] = []
-        for src in range(n):
-            for dst in range(n):
-                pair = src * n + dst
-                if src == dst:
-                    head[src, dst] = params.router_pipeline_cycles / node_freq[src]
-                    resources_per_pair.append(np.empty(0, dtype=np.int64))
-                    continue
-                pair_resources: List[int] = []
-                t = 0.0
-                node = src
-                path_links, directions = model._path(src, dst, bulk=bulk)
-                for link, direction in zip(path_links, directions):
-                    peer = link.other(node)
-                    t += params.router_pipeline_cycles / node_freq[node]
-                    index = model._link_index[link.key]
-                    if link.kind is LinkKind.WIRELESS:
-                        t += (
-                            model.wireless.propagation_s
-                            + model.wireless.token_overhead_s
-                        )
-                        resource = 2 * num_links + link.channel
-                    else:
-                        f_link = min(node_freq[node], node_freq[peer])
-                        t += params.link_traversal_cycles / f_link
-                        resource = 2 * index + direction
-                    pair_resources.append(resource)
-                    if model.clusters[node] != model.clusters[peer]:
-                        t += params.domain_sync_cycles / min(
-                            node_freq[node], node_freq[peer]
-                        )
-                    node = peer
-                t += params.router_pipeline_cycles / node_freq[dst]
-                head[src, dst] = t
-                unique = np.array(sorted(set(pair_resources)), dtype=np.int64)
-                resources_per_pair.append(unique)
-                rows.extend([pair] * len(pair_resources))
-                cols.extend(pair_resources)
+        link_col, chan_col = edge_resource_tables(model)
+        hops = model._route_hops(bulk)
+        u, v = hops.prev, hops.cur
+        channel = chan_col[u, v]
+        wireless = channel >= 0
+        billed = np.where(wireless, channel, link_col[u, v])
+        pipeline_s = model.params.router_pipeline_cycles / node_freq
+        link_s, sync_s = _hop_head_terms(model, u, v, wireless)
+        head = np.zeros(n * n)
+        for column in hops.columns():
+            pair = hops.pair[column]
+            head[pair] += pipeline_s[u[column]]
+            head[pair] += link_s[column]
+            head[pair] += sync_s[column]
+        # Ejection pipeline at the destination; the diagonal (zero hops)
+        # is the local-port traversal.
+        head += np.tile(pipeline_s, n)
         usage = csr_matrix(
-            (np.ones(len(rows)), (rows, cols)),
+            (np.ones(len(billed)), (hops.pair, billed)),
             shape=(n * n, num_resources),
         )
-        # Deduplicated membership (a pair that crosses one channel twice
-        # still meets it once for min/max reductions).
-        binary_rows = np.concatenate(
-            [np.full(len(r), pair, dtype=np.int64)
-             for pair, r in enumerate(resources_per_pair)]
-            or [np.empty(0, dtype=np.int64)]
-        )
-        binary_cols = np.concatenate(resources_per_pair or [np.empty(0, dtype=np.int64)])
-        binary_usage = csr_matrix(
-            (np.ones(len(binary_rows)), (binary_rows, binary_cols)),
-            shape=(n * n, num_resources),
-        )
-        # Raw per-pair line rate (load independent): min capacity on path.
         raw_bottleneck = np.full(n * n, np.inf)
-        for pair, resources in enumerate(resources_per_pair):
-            if len(resources):
-                raw_bottleneck[pair] = capacity[resources].min()
+        np.minimum.at(raw_bottleneck, hops.pair, capacity[billed])
         return {
             "node_freq": node_freq.copy(),
             "num_resources": num_resources,
             "service": service,
             "capacity": capacity,
             "buffer_flits": buffer_flits,
-            "head": head,
+            "head": head.reshape(n, n),
             "usage": usage,
-            "binary_usage": binary_usage,
-            "resources_per_pair": resources_per_pair,
+            "binary_usage": _binary(usage),
             "raw_bottleneck": raw_bottleneck.reshape(n, n),
         }
 
@@ -176,74 +219,25 @@ class DenseLatencyModel:
     ) -> Dict:
         """Blocked float32 build of the static tables (large dies).
 
-        Identical semantics to :meth:`_build_static`, but per-pair paths
-        are never materialized: every source walks all destinations'
-        predecessor chains in lockstep over dense per-edge lookup tables,
-        head latencies accumulate in float64 and store as float32, and
-        usage entries are built as int arrays per source block.  Peak
-        transient memory is bounded by the block size instead of the
-        O(n^2 * hops) Python lists of the exact builder.
+        Same quantities as the exact build, but sources walk in blocks of
+        *block* (:func:`repro.noc.pathwalk.walk_steps_block`), each hop's
+        head terms are pre-summed per edge and accumulate back-to-front,
+        head latencies store as float32, and usage entries assemble per
+        source block, so peak transient memory is bounded by the block.
         """
-        from repro.noc.pathwalk import (
-            assemble_blocked_csr, edge_resource_tables, walk_steps_block,
-        )
-
         n = self.num_nodes
-        links = model.topology.links
-        num_links = len(links)
-        num_channels = max(model.wireless.num_channels, 1)
-        num_resources = 2 * num_links + num_channels
-
-        # Per-resource service time, raw capacity and buffer bound
-        # (identical to the exact builder; small, kept float64).
-        service = np.zeros(num_resources)
-        capacity = np.zeros(num_resources)
-        buffer_flits = np.zeros(num_resources)
+        num_resources, service, capacity, buffer_flits = _resource_tables(model)
         node_freq = model._node_freq
-        params = model.params
-        for index, link in enumerate(links):
-            if link.kind is LinkKind.WIRELESS:
-                continue
-            f_link = min(node_freq[link.a], node_freq[link.b])
-            cap = params.flit_bits * f_link / params.link_traversal_cycles
-            for direction in (0, 1):
-                resource = 2 * index + direction
-                service[resource] = params.link_traversal_cycles / f_link
-                capacity[resource] = cap
-                buffer_flits[resource] = params.wire_buffer_flits
-        for channel in range(num_channels):
-            resource = 2 * num_links + channel
-            service[resource] = params.flit_bits / model.wireless.bandwidth_bps
-            capacity[resource] = model.wireless.bandwidth_bps
-            buffer_flits[resource] = params.wi_buffer_flits
 
-        # Dense per-edge tables: head-latency contribution, billed
-        # resource column and raw capacity of each adjacent hop u -> v.
+        # Dense per-edge tables over every (u, v) (only adjacent entries
+        # are ever read): billed resource column and pre-summed head
+        # latency of the hop u -> v.
         link_col, chan_col = edge_resource_tables(model)
         billed_col = np.where(chan_col >= 0, chan_col, link_col)
-        pipeline_s = params.router_pipeline_cycles / node_freq
-        hop_head = np.zeros((n, n))
-        hop_cap = np.zeros((n, n))
-        clusters = np.asarray(model.clusters)
-        for link in links:
-            for u, v in ((link.a, link.b), (link.b, link.a)):
-                t = pipeline_s[u]
-                if link.kind is LinkKind.WIRELESS:
-                    t += (
-                        model.wireless.propagation_s
-                        + model.wireless.token_overhead_s
-                    )
-                    cap = model.wireless.bandwidth_bps
-                else:
-                    f_link = min(node_freq[u], node_freq[v])
-                    t += params.link_traversal_cycles / f_link
-                    cap = params.flit_bits * f_link / params.link_traversal_cycles
-                if clusters[u] != clusters[v]:
-                    t += params.domain_sync_cycles / min(
-                        node_freq[u], node_freq[v]
-                    )
-                hop_head[u, v] = t
-                hop_cap[u, v] = cap
+        pipeline_s = model.params.router_pipeline_cycles / node_freq
+        u, v = np.indices((n, n))
+        link_s, sync_s = _hop_head_terms(model, u, v, chan_col >= 0)
+        hop_head = pipeline_s[:, None] + link_s + sync_s
 
         routing = model.bulk_routing if bulk else model.routing
         pred = routing.predecessor_matrix()
@@ -253,9 +247,7 @@ class DenseLatencyModel:
         def block_entries(start, end):
             # The whole block walks in lockstep: per step, each still-
             # walking (src, dst) route appears exactly once, so the 2-D
-            # fancy-indexed += sees no duplicate indices and accumulates
-            # each route's hops in the same back-to-front order as the
-            # per-source walk -- float64 sums are bit-identical.
+            # fancy-indexed += sees no duplicate indices.
             srcs = np.arange(start, end)
             base = (srcs * n).astype(np.int32)
             acc_head = np.zeros((end - start, n))
@@ -266,11 +258,12 @@ class DenseLatencyModel:
                 pred[start:end], srcs, n
             ):
                 acc_head[rows, dst] += hop_head[prev, cur]
+                billed = billed_col[prev, cur]
                 acc_cap[rows, dst] = np.minimum(
-                    acc_cap[rows, dst], hop_cap[prev, cur]
+                    acc_cap[rows, dst], capacity[billed]
                 )
                 rows_parts.append(base[rows] + dst.astype(np.int32))
-                cols_parts.append(billed_col[prev, cur])
+                cols_parts.append(billed)
             # Ejection pipeline at every destination; the diagonal
             # (zero hops) collapses to the local-port traversal.
             acc_head += pipeline_s
@@ -282,19 +275,6 @@ class DenseLatencyModel:
             return np.concatenate(rows_parts), np.concatenate(cols_parts)
 
         usage = assemble_blocked_csr(block_entries, n, block, num_resources)
-        # Deduplicated membership: the constructor already summed
-        # duplicate entries, so clamping the stored data to 1 is exactly
-        # the per-pair unique-resource matrix of the exact builder.  The
-        # index structure is identical, so share indices/indptr with
-        # ``usage`` instead of copying them.
-        binary_usage = csr_matrix(
-            (
-                np.ones_like(usage.data),
-                usage.indices,
-                usage.indptr,
-            ),
-            shape=usage.shape,
-        )
         return {
             "node_freq": node_freq.copy(),
             "num_resources": num_resources,
@@ -303,10 +283,7 @@ class DenseLatencyModel:
             "buffer_flits": buffer_flits,
             "head": head,
             "usage": usage,
-            "binary_usage": binary_usage,
-            # Not materialized in blocked mode (would cost O(n^2) small
-            # arrays); nothing outside the exact builder consumes it.
-            "resources_per_pair": None,
+            "binary_usage": _binary(usage),
             "raw_bottleneck": raw_bottleneck,
         }
 
@@ -429,57 +406,46 @@ class PairwiseEnergy:
 
     @staticmethod
     def _build_static(model: FlowNetworkModel, bulk: bool):
+        """Exact float64 tables, or the blocked float32 build when
+        ``NocParams.dense_block_nodes`` is set.
+
+        The exact build starts every route at the ejection router and
+        adds, column by forward column, each hop's router and then its
+        link energy -- the scalar walk's ``+=`` order -- before the final
+        pJ -> J scaling, so the tables are bit-identical to it.
+        """
         if model.params.dense_block_nodes is not None:
             return PairwiseEnergy._build_static_blocked(model, bulk)
         n = model.topology.num_nodes
         params = model.energy.params
-        energy_per_bit = np.zeros((n, n))  # joules per bit
-        hops = np.zeros((n, n))
-        wireless_links = np.zeros((n, n))  # wireless hops on path
-        for src in range(n):
-            for dst in range(n):
-                if src == dst:
-                    continue
-                links, _ = model._path(src, dst, bulk=bulk)
-                pj_per_bit = params.router_pj_per_bit  # ejection router
-                wireless = 0
-                for link in links:
-                    pj_per_bit += params.router_pj_per_bit
-                    if link.kind is LinkKind.WIRELESS:
-                        pj_per_bit += params.wireless_pj_per_bit
-                        wireless += 1
-                    else:
-                        pj_per_bit += (
-                            params.wire_pj_per_bit_per_mm * link.length_mm
-                        )
-                energy_per_bit[src, dst] = pj_per_bit * 1e-12
-                hops[src, dst] = len(links)
-                wireless_links[src, dst] = wireless
-        return energy_per_bit, hops, wireless_links
+        edge_pj, edge_wireless = _link_energy_tables(model, n)
+        hops = model._route_hops(bulk)
+        link_pj = edge_pj[hops.prev, hops.cur]
+        pj_per_bit = np.full((n, n), params.router_pj_per_bit)  # ejection router
+        np.fill_diagonal(pj_per_bit, 0.0)
+        flat = pj_per_bit.reshape(-1)
+        for column in hops.columns():
+            pair = hops.pair[column]
+            flat[pair] += params.router_pj_per_bit
+            flat[pair] += link_pj[column]
+        count = np.bincount(hops.pair, minlength=n * n).astype(float)
+        wireless_links = np.bincount(
+            hops.pair, weights=edge_wireless[hops.prev, hops.cur], minlength=n * n
+        )
+        return (
+            pj_per_bit * 1e-12,  # joules per bit
+            count.reshape(n, n),
+            wireless_links.reshape(n, n),  # wireless hops on path
+        )
 
     @staticmethod
     def _build_static_blocked(model: FlowNetworkModel, bulk: bool):
-        """Blocked float32 build: per-edge energy tables + lockstep walks
-        (same quantities as the exact builder, no per-pair path lists)."""
-        from repro.noc.pathwalk import walk_steps_block
-
+        """Blocked float32 build: per-edge energy tables (router and link
+        pJ pre-summed) accumulated back-to-front per source block."""
         n = model.topology.num_nodes
         params = model.energy.params
-        hop_pj = np.zeros((n, n))
-        hop_wireless = np.zeros((n, n))
-        for link in model.topology.links:
-            if link.kind is LinkKind.WIRELESS:
-                pj = params.router_pj_per_bit + params.wireless_pj_per_bit
-                wireless = 1.0
-            else:
-                pj = (
-                    params.router_pj_per_bit
-                    + params.wire_pj_per_bit_per_mm * link.length_mm
-                )
-                wireless = 0.0
-            for u, v in ((link.a, link.b), (link.b, link.a)):
-                hop_pj[u, v] = pj
-                hop_wireless[u, v] = wireless
+        link_pj, hop_wireless = _link_energy_tables(model, n)
+        hop_pj = params.router_pj_per_bit + link_pj
         routing = model.bulk_routing if bulk else model.routing
         pred = routing.predecessor_matrix()
         energy_per_bit = np.zeros((n, n), dtype=np.float32)
@@ -493,9 +459,7 @@ class PairwiseEnergy:
             acc_hops = np.zeros((end - start, n))
             acc_wireless = np.zeros((end - start, n))
             # Lockstep over the whole block; each (src, dst) route shows
-            # up at most once per step, so the fancy-indexed += keeps the
-            # per-route hop order (and float64 bits) of the old
-            # one-source-at-a-time walk.
+            # up at most once per step, so the fancy-indexed += is safe.
             for rows, dst, prev, cur in walk_steps_block(
                 pred[start:end], srcs, n
             ):

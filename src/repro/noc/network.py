@@ -35,8 +35,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro.noc.energy import NocEnergyModel, NocEnergyParams
+from repro.noc.pathwalk import edge_resource_tables, flow_usage_blocked, route_hops
 from repro.noc.routing import RoutingTable
 from repro.noc.topology import Link, LinkKind, Topology
 from repro.noc.wireless import WirelessSpec
@@ -63,11 +65,11 @@ class NocParams:
     wi_buffer_flits: int = 8
     #: Opt-in blocked float32 construction of the dense all-pairs tables
     #: (:mod:`repro.noc.dense`, :mod:`repro.sim.memory`): sources are
-    #: processed in blocks of this many nodes through vectorized
-    #: predecessor-chain walks, with float32 storage, so 128/256-core
-    #: dies stay within a bounded peak RSS.  ``None`` (the default)
-    #: keeps the exact legacy float64 path -- the 64-core paper platform
-    #: is bit-for-bit unchanged.
+    #: walked in blocks of this many nodes, with float32 storage, so
+    #: 128/256-core dies stay within a bounded peak RSS.  ``None`` (the
+    #: default) builds exact float64 tables from one all-sources walk
+    #: (:func:`repro.noc.pathwalk.route_hops`); the 64-core paper
+    #: platform uses it.
     dense_block_nodes: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -183,8 +185,8 @@ class FlowNetworkModel:
         #: Cross-instance cache for load-independent precomputes (batch
         #: flow-usage matrices, dense latency tables, pairwise energy).
         #: :meth:`repro.sim.platform.Platform.build_network` hands every
-        #: rebuilt network of one platform the same dict, so the O(n^2)
-        #: path walks behind those tables run once per platform instead of
+        #: rebuilt network of one platform the same dict, so the all-pairs
+        #: route walk behind those tables runs once per platform instead of
         #: once per simulation.  Only valid across networks with identical
         #: fabric and clocks; a standalone network keeps a private dict.
         self.static_cache: Dict[object, object] = {}
@@ -274,6 +276,19 @@ class FlowNetworkModel:
         )
         self.load.channel_load += load_per_resource[2 * num_links :]
 
+    def _route_hops(self, bulk: bool = False):
+        """Every route's hops in forward columns
+        (:func:`repro.noc.pathwalk.route_hops`), walked once per message
+        class and shared through :attr:`static_cache` by the exact
+        static-table builders."""
+        key = ("route_hops", bulk, self.topology.epoch, len(self.topology.links))
+        hops = self.static_cache.get(key)
+        if hops is None:
+            routing = self.bulk_routing if bulk else self.routing
+            hops = route_hops(routing.predecessor_matrix(), self.topology.num_nodes)
+            self.static_cache[key] = hops
+        return hops
+
     def _flow_usage(self, bulk: bool = False):
         """Sparse (n*n, resources) pair -> resource usage counts.
 
@@ -282,8 +297,6 @@ class FlowNetworkModel:
         per-link bookkeeping) and each shared wireless channel.  Built
         once per message class and shared through :attr:`static_cache`.
         """
-        from scipy.sparse import csr_matrix
-
         key = (
             "flow_usage",
             bulk,
@@ -294,37 +307,24 @@ class FlowNetworkModel:
         if usage is not None:
             return usage
         n = self.topology.num_nodes
-        num_links = len(self.topology.links)
-        num_channels = self.load.channel_load.shape[0]
+        num_resources = 2 * len(self.topology.links) + self.load.channel_load.shape[0]
         block = self.params.dense_block_nodes
         if block is not None:
-            # Blocked build: vectorized predecessor-chain walks with
-            # float32 data, no per-pair Python path materialization.
-            from repro.noc.pathwalk import flow_usage_blocked
-
-            usage = flow_usage_blocked(
-                self, bulk, block, 2 * num_links + num_channels
+            # Blocked build: float32 data, transient memory bounded per
+            # source block.
+            usage = flow_usage_blocked(self, bulk, block, num_resources)
+        else:
+            hops = self._route_hops(bulk)
+            link_col, chan_col = edge_resource_tables(self)
+            channel = chan_col[hops.prev, hops.cur]
+            wireless = channel >= 0
+            # The csr constructor sums duplicate entries into crossing
+            # counts and sorts each row's columns.
+            rows = np.concatenate([hops.pair, hops.pair[wireless]])
+            cols = np.concatenate([link_col[hops.prev, hops.cur], channel[wireless]])
+            usage = csr_matrix(
+                (np.ones(len(rows)), (rows, cols)), shape=(n * n, num_resources)
             )
-            self.static_cache[key] = usage
-            return usage
-        rows: List[int] = []
-        cols: List[int] = []
-        for src in range(n):
-            for dst in range(n):
-                if src == dst:
-                    continue
-                pair = src * n + dst
-                for link, direction in zip(*self._path(src, dst, bulk=bulk)):
-                    index = self._link_index[link.key]
-                    rows.append(pair)
-                    cols.append(2 * index + direction)
-                    if link.kind is LinkKind.WIRELESS:
-                        rows.append(pair)
-                        cols.append(2 * num_links + link.channel)
-        usage = csr_matrix(
-            (np.ones(len(rows)), (rows, cols)),
-            shape=(n * n, 2 * num_links + num_channels),
-        )
         self.static_cache[key] = usage
         return usage
 
@@ -392,15 +392,6 @@ class FlowNetworkModel:
         # Ejection pipeline at the destination router.
         head += params.router_pipeline_cycles / self._node_freq[dst]
         return head + payload_bits / bottleneck
-
-    def latency_matrix(self, payload_bits: float) -> np.ndarray:
-        """All-pairs packet latency under the current load."""
-        n = self.topology.num_nodes
-        matrix = np.zeros((n, n))
-        for src in range(n):
-            for dst in range(n):
-                matrix[src, dst] = self.latency(src, dst, payload_bits)
-        return matrix
 
     def path_capacity(self, src: int, dst: int, bulk: bool = False) -> float:
         """Effective bottleneck throughput (bits/s) of the (src,dst) path."""

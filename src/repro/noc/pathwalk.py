@@ -1,27 +1,29 @@
-"""Vectorized predecessor-chain walks for blocked dense-table builds.
+"""Vectorized predecessor-chain walks for the dense all-pairs tables.
 
-The legacy dense builders walk one Python path per (src, dst) pair and
-accumulate resource ids into Python lists -- at 256 cores that is ~65k
-path walks and hundreds of MB of transient ``int`` objects.  The blocked
-builders (:class:`repro.noc.dense.DenseLatencyModel` and
-:meth:`repro.noc.network.FlowNetworkModel._flow_usage` with
-``NocParams.dense_block_nodes`` set) instead walk every (src, dst)
-route of a whole source block at once: :func:`walk_steps_block` advances
-all still-walking routes one predecessor hop per step over dense
-per-edge lookup tables, so the transient state is a handful of 1-D
-arrays whose length shrinks as routes reach their sources.  Per block
-that is ~diameter numpy steps instead of ~``block * diameter`` Python
-loop iterations, and consumers issue one ``np.concatenate`` per block.
+Every static table of the flow model (dense head latency, bottleneck
+line rate, pairwise energy, flow-usage csr) and the wireless routing
+calibration sum per-hop terms along each (src, dst) route.  Rather than
+walking one Python path per pair, :func:`walk_steps_block` advances every
+route of a block of sources at once, one predecessor hop per numpy
+step, over the routing table's predecessor matrix: ~diameter array
+steps instead of ~``n * n * diameter`` Python loop iterations.
 
-Per-route hop *order* is preserved: step ``k`` visits the ``k``-th hop
-counted backward from each destination, exactly as the per-source
-:func:`walk_steps` walk does, so float accumulations over the yielded
-hops are bit-identical to the scalar builders.
+Two consumers sit on top of it:
+
+* :func:`route_hops` walks all sources in one block and regroups the
+  hops into *forward* columns (column ``j`` = every route's ``j``-th hop
+  counted from the source).  Accumulating column by column replays the
+  exact per-route ``+=`` order of a scalar src-to-dst path walk, so the
+  exact float64 builders (``NocParams.dense_block_nodes=None``) are
+  bit-identical to it.
+* The blocked float32 builders (``dense_block_nodes`` set, large dies)
+  walk one source block at a time and accumulate back-to-front, keeping
+  transient memory bounded by the block.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Iterator, NamedTuple, Tuple
 
 import numpy as np
 
@@ -81,53 +83,6 @@ def _describe_cycle(pred_row: np.ndarray, src: int, dst: int, n: int) -> str:
     return f"chain from {dst} exceeds {2 * n} hops without repeating"
 
 
-def walk_steps(
-    pred_row: np.ndarray, src: int, n: int
-) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Walk all destinations' routes back toward *src* in lockstep.
-
-    Yields ``(dst, prev, cur)`` index arrays per step: for every
-    still-walking destination ``dst``, the route's hop ``prev -> cur``
-    (in forward, src-to-dst direction).  Iterating to exhaustion visits
-    every hop of every route exactly once.
-
-    The walk is validated eagerly: a predecessor cycle or an unroutable
-    destination raises *before the first step is yielded*, so a consumer
-    accumulating per-destination sums is never left holding a partially
-    consumed walk.  The error names the offending route and the exact
-    cycle the chain fell into.
-    """
-    steps = []
-    destinations = np.arange(n)
-    current = destinations.copy()
-    alive = current != src
-    count = 0
-    while alive.any():
-        count += 1
-        dst = destinations[alive]
-        cur = current[alive]
-        if count > 2 * n:
-            broken = int(dst[0])
-            raise RuntimeError(
-                f"predecessor chains from {src} do not terminate "
-                f"({alive.sum()} destination(s) affected): "
-                f"{_describe_cycle(pred_row, src, broken, n)}"
-            )
-        prev = pred_row[cur]
-        if (prev < 0).any():
-            missing = dst[prev < 0]
-            raise RuntimeError(
-                f"no route from {src} to destination(s) "
-                f"{missing[:8].tolist()}"
-                f"{'...' if len(missing) > 8 else ''}: predecessor chain "
-                f"breaks {count} hop(s) before the destination"
-            )
-        steps.append((dst, prev, cur))
-        current[alive] = prev
-        alive = current != src
-    return iter(steps)
-
-
 def walk_steps_block(
     pred_rows: np.ndarray, srcs: np.ndarray, n: int
 ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -139,14 +94,14 @@ def walk_steps_block(
     ``rows`` indexes into *srcs*, and for each still-walking route the
     step contributes the hop ``prev -> cur`` (forward direction).  Step
     ``k`` carries the ``k``-th hop counted backward from each
-    destination -- the same per-route order as :func:`walk_steps` -- and
-    within one step every (src, dst) pair appears at most once, so
-    consumers may accumulate with plain fancy-indexed ``+=``.
+    destination, and within one step every (src, dst) pair appears at
+    most once, so consumers may accumulate with plain fancy-indexed
+    ``+=``.
 
-    Unlike the eager single-source walk, validation here is per step
-    (materializing a block's full walk would defeat the bounded-memory
-    contract of the blocked builders); a cycle still raises with the
-    offending route spelled out.
+    Validation is per step (materializing a block's full walk would
+    defeat the bounded-memory contract of the blocked builders); a cycle
+    or an unroutable destination raises with the offending route spelled
+    out.
     """
     srcs = np.asarray(srcs)
     block = len(srcs)
@@ -177,6 +132,56 @@ def walk_steps_block(
         yield rows, dst, prev, cur
         keep = prev != srcs[rows]
         rows, dst, cur = rows[keep], dst[keep], prev[keep]
+
+
+class RouteHops(NamedTuple):
+    """Every hop of every (src, dst) route, in forward columns.
+
+    Entry ``i`` is the hop ``prev[i] -> cur[i]`` of the route with pair
+    index ``pair[i] = src * n + dst``.  Entries are sorted by (forward
+    hop index, pair): column ``j`` -- entries ``bounds[j]:bounds[j + 1]``
+    -- holds the ``j``-th hop (counted from the source) of every route
+    with more than ``j`` hops, each pair at most once.
+    """
+
+    pair: np.ndarray
+    prev: np.ndarray
+    cur: np.ndarray
+    bounds: np.ndarray
+
+    def columns(self) -> Iterator[slice]:
+        """Entry slices of the forward columns, first hop first."""
+        for lo, hi in zip(self.bounds[:-1].tolist(), self.bounds[1:].tolist()):
+            yield slice(lo, hi)
+
+
+def route_hops(pred: np.ndarray, n: int) -> RouteHops:
+    """All routes of predecessor matrix *pred*, regrouped into forward
+    columns (see :class:`RouteHops`).
+
+    One :func:`walk_steps_block` over every source yields the hops
+    back-to-front; a hop found at backward step ``k`` of a route with
+    ``h`` hops is its forward hop ``h - 1 - k``.
+    """
+    pairs, prevs, curs = [], [], []
+    for rows, dst, prev, cur in walk_steps_block(pred, np.arange(n), n):
+        pairs.append(rows * n + dst)
+        prevs.append(prev)
+        curs.append(cur)
+    if not pairs:
+        empty = np.empty(0, dtype=np.int64)
+        return RouteHops(empty, empty, empty, np.zeros(1, dtype=np.int64))
+    pair = np.concatenate(pairs)
+    back = np.repeat(np.arange(len(pairs)), [len(p) for p in pairs])
+    forward = np.bincount(pair, minlength=n * n)[pair] - 1 - back
+    order = np.lexsort((pair, forward))
+    bounds = np.searchsorted(forward[order], np.arange(len(pairs) + 1))
+    return RouteHops(
+        pair[order],
+        np.concatenate(prevs)[order],
+        np.concatenate(curs)[order],
+        bounds,
+    )
 
 
 def assemble_blocked_csr(block_entries, n: int, block: int, num_resources: int):
@@ -213,11 +218,11 @@ def assemble_blocked_csr(block_entries, n: int, block: int, num_resources: int):
 def flow_usage_blocked(model, bulk: bool, block: int, num_resources: int):
     """Blocked build of :meth:`FlowNetworkModel._flow_usage`'s csr.
 
-    Mirrors the legacy per-pair loop: one entry per directed-link hop
-    (wire *and* wireless) plus one per wireless-channel crossing, with
-    duplicates summed into multiplicities.  The whole block walks in
-    vectorized lockstep (:func:`walk_steps_block`), so entry assembly is
-    ~diameter array appends and one concatenate per block.
+    Same entries as the exact build -- one per directed-link hop (wire
+    *and* wireless) plus one per wireless-channel crossing, duplicates
+    summed into multiplicities -- but float32 data.  The whole block
+    walks in vectorized lockstep (:func:`walk_steps_block`), so entry
+    assembly is ~diameter array appends and one concatenate per block.
     """
     n = model.topology.num_nodes
     routing = model.bulk_routing if bulk else model.routing

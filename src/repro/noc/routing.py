@@ -9,12 +9,13 @@ links exactly.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from repro.noc.pathwalk import walk_steps_block
 from repro.noc.topology import GridGeometry, Link, LinkKind, Topology
 
 
@@ -68,20 +69,15 @@ class RoutingTable:
         self._cache[key] = path
         return path
 
-    def links_on_path(self, src: int, dst: int) -> List[Link]:
-        path = self.path(src, dst)
-        return [
-            self.topology.find_link(a, b) for a, b in zip(path, path[1:])
-        ]
-
     def hop_count(self, src: int, dst: int) -> int:
         return len(self.path(src, dst)) - 1
 
     def predecessor_matrix(self) -> np.ndarray:
         """All-pairs predecessor table: ``pred[src, dst]`` is the node
         before *dst* on the deterministic route from *src* (negative on
-        the diagonal).  This is what the blocked dense-table builders walk
-        in vectorized lockstep instead of materializing per-pair paths.
+        the diagonal).  This is what the static-table builders and the
+        wireless calibration walk in vectorized lockstep
+        (:mod:`repro.noc.pathwalk`) instead of materializing per-pair paths.
         """
         if self._predecessors.size == 0:
             raise NotImplementedError(
@@ -92,10 +88,10 @@ class RoutingTable:
     def hop_matrix(self) -> np.ndarray:
         """All-pairs hop counts along the table's deterministic routes.
 
-        Computed once and cached (routes never change after construction):
-        each source row walks every destination's predecessor chain in
-        lockstep, so the cost is O(n * diameter) vectorized steps instead
-        of O(n^2) Python path walks per call.
+        Computed once and cached (routes never change after construction)
+        from one lockstep walk of every predecessor chain
+        (:func:`repro.noc.pathwalk.walk_steps_block`): ~diameter
+        vectorized steps instead of O(n^2) Python path walks.
         """
         if self._hop_matrix is None:
             self._hop_matrix = self._build_hop_matrix()
@@ -103,32 +99,12 @@ class RoutingTable:
 
     def _build_hop_matrix(self) -> np.ndarray:
         n = self.topology.num_nodes
-        hops = np.zeros((n, n), dtype=int)
-        if self._predecessors.size == 0:
-            # Geometry-routed subclasses materialize paths lazily; fall
-            # back to walking them (still cached across calls).
-            for src in range(n):
-                for dst in range(n):
-                    if src != dst:
-                        hops[src, dst] = self.hop_count(src, dst)
-            return hops
-        destinations = np.arange(n)
-        for src in range(n):
-            predecessors = self._predecessors[src]
-            current = destinations.copy()
-            alive = current != src
-            steps = np.zeros(n, dtype=int)
-            while alive.any():
-                steps[alive] += 1
-                current = np.where(alive, predecessors[current], current)
-                if (current[alive] < 0).any():
-                    broken = destinations[alive & (current < 0)]
-                    raise RuntimeError(
-                        f"no route from {src} to {broken.tolist()}"
-                    )
-                alive = current != src
-            hops[src] = steps
-        return hops
+        hops = np.zeros(n * n, dtype=int)
+        for rows, dst, _, _ in walk_steps_block(
+            self.predecessor_matrix(), np.arange(n), n
+        ):
+            hops[rows * n + dst] += 1
+        return hops.reshape(n, n)
 
 
 #: Grid pitch used to normalize wire lengths in routing weights.

@@ -851,25 +851,15 @@ class SystemSimulator:
     ) -> Tuple[List[_ScheduledTask], float, Optional[_Recovery]]:
         """One task per owning worker, all starting at the barrier.
 
-        With a :class:`_KvPlan` (fault-free runs) the whole phase is
-        evaluated in one vectorized pass; the scalar per-record loop is
-        kept as the reference path and for faulted phases.
-
-        Under fault injection, a task whose home worker is dead (or dies
-        mid-execution) runs on a policy-chosen substitute instead."""
-        if self.faults is None and plan is not None:
+        Fault-free runs always carry a :class:`_KvPlan` (the callers
+        build one whenever ``faults is None``), and the whole phase is
+        evaluated in one vectorized pass.  Under fault injection the
+        phase runs record by record: a task whose home worker is dead (or
+        dies mid-execution) runs on a policy-chosen substitute instead."""
+        if self.faults is None:
             return self._schedule_parallel_batched(records, start, plan)
         schedule = []
         end = start
-        if self.faults is None:
-            for record in records:
-                worker = record.home_worker
-                duration = self._task_time(record, worker) + self._kv_pull_time(
-                    record, worker
-                )
-                schedule.append(_ScheduledTask(record, worker, start, duration))
-                end = max(end, start + duration)
-            return schedule, end, None
         recovery = _Recovery()
         for record in records:
             item, item_recovery = self._execute_with_substitution(
@@ -926,7 +916,8 @@ class SystemSimulator:
     ) -> Tuple[List[_ScheduledTask], float, None]:
         """Vectorized barrier phase: one pass over the plan's arrays.
 
-        Bit-equal to the scalar loop by construction:
+        Bit-equal, by construction, to the per-record
+        ``_task_time + _kv_pull_time`` sum the faulted path evaluates:
 
         * compute/stall mirror :meth:`_task_time_parts`'s operation
           order exactly (the same broadcast pattern
@@ -937,8 +928,8 @@ class SystemSimulator:
           numerators to reproduce the scalar bits;
         * per-record source sums run through one zero-padded
           ``np.add.accumulate`` (sequential float64 recurrence ==
-          the scalar ``total += term`` loop; trailing zero pads are
-          exact no-ops for the non-negative terms).
+          :meth:`_kv_pull_time`'s ``total += term`` loop; trailing zero
+          pads are exact no-ops for the non-negative terms).
         """
         if not len(records):
             return [], start, None

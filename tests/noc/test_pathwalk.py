@@ -1,16 +1,61 @@
 """Lockstep predecessor walks: validation, ordering, block equivalence.
 
-The dense blocked builders trust :mod:`repro.noc.pathwalk` for two
-contracts: hop *order* per route matches the scalar walk (float
-accumulation bit-equality), and broken predecessor data fails loudly --
-eagerly for the single-source walk, with the offending cycle spelled
-out in both flavors.
+The dense builders trust :mod:`repro.noc.pathwalk` for two contracts:
+hop *order* per route (:func:`route_hops` replays the scalar
+src-to-dst order, which float accumulation bit-equality depends on), and
+broken predecessor data fails loudly, with the offending cycle spelled
+out.  :func:`walk_steps` below is the single-source reference walk the
+lockstep block walk is checked against.
 """
+
+from typing import Iterator, Tuple
 
 import numpy as np
 import pytest
 
-from repro.noc.pathwalk import walk_steps, walk_steps_block
+from repro.noc.pathwalk import _describe_cycle, route_hops, walk_steps_block
+
+
+def walk_steps(
+    pred_row: np.ndarray, src: int, n: int
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Walk all destinations' routes back toward *src* in lockstep.
+
+    Yields ``(dst, prev, cur)`` index arrays per step: for every
+    still-walking destination ``dst``, the route's hop ``prev -> cur``
+    (in forward, src-to-dst direction).  Validation is eager: a
+    predecessor cycle or an unroutable destination raises before the
+    first step is yielded.
+    """
+    steps = []
+    destinations = np.arange(n)
+    current = destinations.copy()
+    alive = current != src
+    count = 0
+    while alive.any():
+        count += 1
+        dst = destinations[alive]
+        cur = current[alive]
+        if count > 2 * n:
+            broken = int(dst[0])
+            raise RuntimeError(
+                f"predecessor chains from {src} do not terminate "
+                f"({alive.sum()} destination(s) affected): "
+                f"{_describe_cycle(pred_row, src, broken, n)}"
+            )
+        prev = pred_row[cur]
+        if (prev < 0).any():
+            missing = dst[prev < 0]
+            raise RuntimeError(
+                f"no route from {src} to destination(s) "
+                f"{missing[:8].tolist()}"
+                f"{'...' if len(missing) > 8 else ''}: predecessor chain "
+                f"breaks {count} hop(s) before the destination"
+            )
+        steps.append((dst, prev, cur))
+        current[alive] = prev
+        alive = current != src
+    return iter(steps)
 
 
 def _line_pred_row(src: int, n: int) -> np.ndarray:
@@ -132,3 +177,45 @@ class TestWalkStepsBlock:
     def test_empty_block(self):
         pred_rows = np.empty((0, 4), dtype=np.int64)
         assert list(walk_steps_block(pred_rows, np.empty(0, dtype=int), 4)) == []
+
+
+class TestRouteHops:
+    @staticmethod
+    def _line_pred(n):
+        return np.stack([_line_pred_row(s, n) for s in range(n)])
+
+    def test_columns_replay_forward_route_order(self):
+        n = 6
+        pred = self._line_pred(n)
+        hops = route_hops(pred, n)
+        forward = {}
+        for column in hops.columns():
+            pairs = hops.pair[column].tolist()
+            assert len(pairs) == len(set(pairs))  # fancy += is safe
+            assert pairs == sorted(pairs)
+            for pair, p, c in zip(pairs, hops.prev[column], hops.cur[column]):
+                forward.setdefault(pair, []).append((int(p), int(c)))
+        for src in range(n):
+            backward = _hops_per_route(walk_steps(pred[src], src, n), src=src)
+            for dst in range(n):
+                if dst != src:
+                    assert forward[src * n + dst] == backward[(src, dst)][::-1]
+        assert set(forward) == {s * n + d for s in range(n) for d in range(n) if s != d}
+
+    def test_column_j_holds_routes_longer_than_j(self):
+        n = 5
+        hops = route_hops(self._line_pred(n), n)
+        lengths = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).ravel()
+        for j, column in enumerate(hops.columns()):
+            assert sorted(hops.pair[column].tolist()) == np.flatnonzero(lengths > j).tolist()
+        assert len(hops.bounds) == n  # longest route: n - 1 hops
+
+    def test_single_node(self):
+        hops = route_hops(np.full((1, 1), -9999), 1)
+        assert list(hops.columns()) == [] and hops.pair.size == 0
+
+    def test_broken_chain_raises(self):
+        pred = self._line_pred(4)
+        pred[0, 3] = -1
+        with pytest.raises(RuntimeError, match=r"no route for \(src, dst\)"):
+            route_hops(pred, 4)
