@@ -10,9 +10,9 @@ intermediate (key, value) state depends on the key space:
   global sufficient statistics).
 
 Each map worker owns one container; emission applies the combiner
-immediately (map-side combining).  After the Map phase the engine hashes
-keys into reduce partitions and each Reduce task merges the matching slice
-of every worker's container.
+immediately (map-side combining).  After the Map phase the engine buckets
+each container once by key hash (:meth:`Container.partitions`) and each
+Reduce task merges the matching bucket of every worker's container.
 """
 
 from __future__ import annotations
@@ -39,17 +39,15 @@ class Container:
     def __len__(self) -> int:
         raise NotImplementedError
 
-    def partition_items(
-        self, num_partitions: int, partition: int
-    ) -> Iterator[Tuple[Hashable, Any]]:
-        """Yield the (key, accumulator) pairs that hash into *partition*."""
-        if not 0 <= partition < num_partitions:
-            raise ValueError(
-                f"partition {partition} out of range [0, {num_partitions})"
-            )
+    def partitions(self, num_partitions: int) -> List[List[Tuple[Hashable, Any]]]:
+        """Bucket the (key, accumulator) pairs by reduce partition, hashing
+        each key once; bucket ``p`` keeps :meth:`items` order."""
+        if num_partitions <= 0:
+            raise ValueError(f"num_partitions must be > 0, got {num_partitions}")
+        buckets = [[] for _ in range(num_partitions)]
         for key, acc in self.items():
-            if stable_key_hash(key) % num_partitions == partition:
-                yield key, acc
+            buckets[stable_key_hash(key) % num_partitions].append((key, acc))
+        return buckets
 
 
 def stable_key_hash(key: Hashable) -> int:

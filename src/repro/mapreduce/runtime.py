@@ -13,11 +13,11 @@ Execution follows Phoenix++ (paper Fig. 1):
 3. **Map** -- chunks become tasks, distributed round-robin to worker
    queues; workers drain their own queue then steal (policy-controlled);
    each executed task emits pairs into the *executing* worker's container.
-4. **Reduce** -- one reduce task per worker; task *r* pulls the keys that
-   hash into partition *r* from every worker's container, merges their
-   accumulators and finalizes.  The per-source byte counts recorded here
-   are exactly the core-to-core traffic the VFI clustering and the WiNoC
-   link allocation consume.
+4. **Reduce** -- one reduce task per worker; each container is bucketed
+   by key hash once, task *r* pulls bucket *r* of every worker's
+   container, merges their accumulators and finalizes.  The per-source
+   byte counts recorded here are exactly the core-to-core traffic the
+   VFI clustering and the WiNoC link allocation consume.
 5. **Merge** -- a binary funnel over the sorted per-partition outputs;
    each stage halves the number of active workers, which is why specific
    cores stay busy late in the run (the paper's bottleneck cores).
@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
-from repro.mapreduce.containers import Container, stable_key_hash
+from repro.mapreduce.containers import Container
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.scheduler import StealingPolicy, TaskQueueSet
 from repro.mapreduce.tasks import Phase, Task, TaskCost
@@ -189,16 +189,16 @@ class MapReduceRuntime:
         phase = PhaseTrace(Phase.REDUCE)
         partitions: List[Dict[Hashable, Any]] = []
         combiner = job.combiner()
+        buckets = [c.partitions(self.num_workers) for c in containers]
         for partition in range(self.num_workers):
             grouped: Dict[Hashable, List[Any]] = defaultdict(list)
             bytes_by_worker: Dict[int, float] = {}
-            for worker, container in enumerate(containers):
-                pulled = 0
-                for key, acc in container.partition_items(self.num_workers, partition):
+            for worker, by_partition in enumerate(buckets):
+                pulled = by_partition[partition]
+                for key, acc in pulled:
                     grouped[key].append(acc)
-                    pulled += 1
                 if pulled:
-                    bytes_by_worker[worker] = pulled * config.bytes_per_pair
+                    bytes_by_worker[worker] = len(pulled) * config.bytes_per_pair
             output: Dict[Hashable, Any] = {}
             work = 0.0
             for key, accumulators in grouped.items():

@@ -5,10 +5,11 @@ the system simulator needs all-pairs latencies for several packet classes
 at every phase relaxation, which would cost ~10^4 path walks per refresh.
 :class:`DenseLatencyModel` precomputes the load-independent pieces
 (router pipeline, wire traversal, synchronizers, wireless propagation and
-token overhead) per (src, dst) pair once, and reduces the load-dependent
-pieces to one sparse mat-vec (queueing) plus a ragged min (bottleneck
-capacity) over shared *resources* -- directed wire links and wireless
-channels.
+token overhead, per-payload serialization) per (src, dst) pair once, and
+reduces the load-dependent pieces, given one utilization vector per load
+refresh, to one sparse mat-vec (queueing) plus a per-hop gather-max
+(bottleneck capacity) over shared *resources* -- directed wire links and
+wireless channels.
 
 The load-independent tables come from vectorized route walks
 (:mod:`repro.noc.pathwalk`), never from per-pair Python paths: with
@@ -40,7 +41,8 @@ def _resource_tables(model: FlowNetworkModel):
 
     Returns ``(num_resources, service, capacity, buffer_flits)``;
     resource columns are directed wire links (``2 * index + direction``)
-    followed by the shared wireless channels.
+    followed by the shared wireless channels.  Wireless links' own
+    columns keep zero capacity: their hops bill against the channel.
     """
     links = model.topology.links
     num_links = len(links)
@@ -112,17 +114,15 @@ def _link_energy_tables(model: FlowNetworkModel, n: int):
     return link_pj, wireless
 
 
-def _binary(usage: csr_matrix) -> csr_matrix:
-    """Deduplicated membership (a pair that crosses one channel twice
-    still meets it once for min/max reductions).
-
-    *usage* has summed duplicates, so setting its data to 1 is the
-    per-pair unique-resource matrix; it shares ``usage``'s
-    indices/indptr instead of copying them.
-    """
-    return csr_matrix(
-        (np.ones_like(usage.data), usage.indices, usage.indptr),
-        shape=usage.shape,
+def _static_entries(model, resources, head, usage, raw_bottleneck) -> Dict:
+    """The static-table dict both builders return; ``serialization``
+    and ``layout`` fill on first use."""
+    num_resources, service, capacity, buffer_flits = resources
+    return dict(
+        node_freq=model._node_freq.copy(), num_resources=num_resources,
+        service=service, capacity=capacity, buffer_flits=buffer_flits,
+        head=head, usage=usage, raw_bottleneck=raw_bottleneck,
+        serialization={}, layout=None,
     )
 
 
@@ -159,8 +159,8 @@ class DenseLatencyModel:
         self._buffer_flits = static["buffer_flits"]
         self._head = static["head"]
         self._usage = static["usage"]
-        self._binary_usage = static["binary_usage"]
         self._raw_bottleneck = static["raw_bottleneck"]
+        self._static = static
 
     def _build_static(self, model: FlowNetworkModel, bulk: bool) -> Dict:
         """Exact float64 tables, or the blocked float32 build when
@@ -177,7 +177,8 @@ class DenseLatencyModel:
                 model, bulk, model.params.dense_block_nodes
             )
         n = self.num_nodes
-        num_resources, service, capacity, buffer_flits = _resource_tables(model)
+        resources = _resource_tables(model)
+        num_resources, capacity = resources[0], resources[2]
         node_freq = model._node_freq
         link_col, chan_col = edge_resource_tables(model)
         hops = model._route_hops(bulk)
@@ -202,17 +203,10 @@ class DenseLatencyModel:
         )
         raw_bottleneck = np.full(n * n, np.inf)
         np.minimum.at(raw_bottleneck, hops.pair, capacity[billed])
-        return {
-            "node_freq": node_freq.copy(),
-            "num_resources": num_resources,
-            "service": service,
-            "capacity": capacity,
-            "buffer_flits": buffer_flits,
-            "head": head.reshape(n, n),
-            "usage": usage,
-            "binary_usage": _binary(usage),
-            "raw_bottleneck": raw_bottleneck.reshape(n, n),
-        }
+        return _static_entries(
+            model, resources, head.reshape(n, n), usage,
+            raw_bottleneck.reshape(n, n),
+        )
 
     def _build_static_blocked(
         self, model: FlowNetworkModel, bulk: bool, block: int
@@ -226,7 +220,8 @@ class DenseLatencyModel:
         source block, so peak transient memory is bounded by the block.
         """
         n = self.num_nodes
-        num_resources, service, capacity, buffer_flits = _resource_tables(model)
+        resources = _resource_tables(model)
+        num_resources, capacity = resources[0], resources[2]
         node_freq = model._node_freq
 
         # Dense per-edge tables over every (u, v) (only adjacent entries
@@ -275,106 +270,111 @@ class DenseLatencyModel:
             return np.concatenate(rows_parts), np.concatenate(cols_parts)
 
         usage = assemble_blocked_csr(block_entries, n, block, num_resources)
-        return {
-            "node_freq": node_freq.copy(),
-            "num_resources": num_resources,
-            "service": service,
-            "capacity": capacity,
-            "buffer_flits": buffer_flits,
-            "head": head,
-            "usage": usage,
-            "binary_usage": _binary(usage),
-            "raw_bottleneck": raw_bottleneck,
-        }
+        return _static_entries(model, resources, head, usage, raw_bottleneck)
 
     # ------------------------------------------------------------------ #
 
     def _resource_load(self) -> np.ndarray:
-        load = np.zeros(self.num_resources)
-        link_load = self.model.load.link_load
-        for index, link in enumerate(self.model.topology.links):
-            if link.kind is LinkKind.WIRELESS:
-                continue
-            load[2 * index] = link_load[index, 0]
-            load[2 * index + 1] = link_load[index, 1]
-        channels = self.model.load.channel_load
-        load[2 * self._num_links : 2 * self._num_links + len(channels)] = channels
-        return load
+        """Current load per resource (bits/s); wireless-link columns
+        (zero capacity) read zero, as their hops bill the channel."""
+        load = self.model.load
+        return np.where(
+            self._capacity > 0,
+            np.concatenate((load.link_load.reshape(-1), load.channel_load)),
+            0.0,
+        )
 
     def utilization(self) -> np.ndarray:
-        """Per-resource utilization (capped at the model's maximum)."""
+        """Per-resource utilization (capped at the model's maximum).
+
+        Both message classes share the resource tables, so one load
+        refresh computes this once for either class's queries."""
         load = self._resource_load()
         with np.errstate(divide="ignore", invalid="ignore"):
             rho = np.where(self._capacity > 0, load / self._capacity, 0.0)
         return np.minimum(rho, self.model.params.max_utilization)
 
-    def latency_matrices(
-        self, payload_bits: Sequence[float]
-    ) -> Dict[float, np.ndarray]:
-        """All-pairs latency for each payload size, under current load."""
-        n = self.num_nodes
-        rho = self.utilization()
-        queue_per_resource = np.minimum(
+    def _queue_per_resource(self, rho: np.ndarray) -> np.ndarray:
+        return np.minimum(
             self._service * rho / (2.0 * (1.0 - rho)),
             np.maximum(self._buffer_flits - 1, 0) * self._service,
         )
+
+    def record_token_wait(self, rho: np.ndarray) -> None:
+        """Channel-access wait (token acquisition + queueing) per shared
+        channel at utilization *rho*; one observation per load refresh."""
         model = self.model
-        if model._tracer.enabled and model._wireless_channels:
-            # Channel-access wait (token acquisition + queueing) per shared
-            # channel, one observation per load refresh.
-            token = model.wireless.token_overhead_s
-            for channel in model._wireless_channels:
-                model._tracer.histogram_record(
-                    f"noc.token_wait_s/{model.trace_label}",
-                    token + queue_per_resource[2 * self._num_links + channel],
-                )
+        if not (model._tracer.enabled and model._wireless_channels):
+            return
+        queue_per_resource = self._queue_per_resource(rho)
+        token = model.wireless.token_overhead_s
+        for channel in model._wireless_channels:
+            model._tracer.histogram_record(
+                f"noc.token_wait_s/{model.trace_label}",
+                token + queue_per_resource[2 * self._num_links + channel],
+            )
+
+    def latency_matrices(
+        self, payload_bits: Sequence[float], rho: np.ndarray
+    ) -> Dict[float, np.ndarray]:
+        """All-pairs latency for each payload size at utilization *rho*."""
+        n = self.num_nodes
         queue = np.asarray(
-            self._usage @ queue_per_resource
+            self._usage @ self._queue_per_resource(rho)
         ).reshape(n, n)
-        # Raw line rate for per-packet serialization (contention is already
-        # in the queueing term; see repro.noc.network module docs).
-        bottleneck = self._raw_bottleneck
+        # Serialization at the raw line rate (contention is already in the
+        # queueing term; see repro.noc.network module docs), once per size.
+        serialization, raw = self._static["serialization"], self._raw_bottleneck
+        for bits in set(payload_bits) - serialization.keys():
+            serialization[bits] = np.where(np.isinf(raw), 0.0, bits / raw)
         head = self._head + queue
-        return {
-            bits: head + np.where(np.isinf(bottleneck), 0.0, bits / bottleneck)
-            for bits in payload_bits
-        }
+        return {bits: head + serialization[bits] for bits in payload_bits}
 
     def raw_bottleneck_matrix(self) -> np.ndarray:
         """Load-independent per-pair bottleneck line rate (bits/s)."""
         return self._raw_bottleneck
 
-    def bottleneck_matrix(self) -> np.ndarray:
-        """Effective per-pair path capacity (bits/s) under current load.
-
-        The per-pair min over path resources is evaluated as a sparse
-        row-max of inverse capacities (all effective capacities are
-        positive because utilization is capped below 1), so a refresh
-        costs one sparse reduction instead of an O(n^2) Python loop.
+    def _layout(self):
+        """``(order, members)``: pairs by descending count of distinct
+        resources (usage csr rows), so the ``k``-th resource of every pair
+        that has one is ``members[k]``, a prefix of ``order`` (``intp``:
+        narrower indices gather slower).  Built on the first bottleneck
+        query; the simulator asks only the bulk class (~6 MB at 256 cores).
         """
-        rho = self.utilization()
+        if self._static["layout"] is None:
+            indptr = self._usage.indptr
+            counts = np.diff(indptr)
+            order = np.argsort(-counts, kind="stable")
+            starts = indptr[:-1][order].astype(np.intp)
+            indices = self._usage.indices.astype(np.intp)
+            # widths[k]: number of pairs with more than k resources.
+            widths = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]
+            members = [indices[starts[:w] + k] for k, w in enumerate(widths)]
+            self._static["layout"] = (order, members)
+        return self._static["layout"]
+
+    def bottleneck_matrix(self, rho: np.ndarray) -> np.ndarray:
+        """Effective per-pair path capacity (bits/s) at utilization *rho*.
+
+        The per-pair min over path resources is a max of inverse
+        capacities (positive, as utilization is capped below 1): one
+        gather and one in-place max per hop position of :meth:`_layout`,
+        then one scatter back to pair order.  Pairs without resources
+        keep 0 and read infinite capacity.
+        """
         effective = self._capacity * (1.0 - rho)
         inverse = np.zeros(self.num_resources)
         used = effective > 0
         inverse[used] = 1.0 / effective[used]
-        # Per-pair max of inverse capacities over the pair's resources,
-        # straight off the csr structure: gather by column index, then a
-        # segmented max per row.  Equivalent to
-        # ``binary_usage.multiply(inverse).max(axis=1)`` (inverse >= 0,
-        # so implicit zeros never win) without materializing the scaled
-        # sparse intermediate on every load refresh.
-        usage = self._binary_usage
-        worst = np.zeros(usage.shape[0])
-        if len(usage.indices):
-            data = inverse[usage.indices]
-            indptr = usage.indptr
-            starts = np.minimum(indptr[:-1], len(data) - 1)
-            worst = np.maximum.reduceat(data, starts)
-            worst[indptr[:-1] == indptr[1:]] = 0.0
+        order, members_by_hop = self._layout()
+        worst = np.zeros(len(order))
+        for members in members_by_hop:
+            prefix = worst[: len(members)]
+            np.maximum(prefix, inverse[members], out=prefix)
         n = self.num_nodes
         bottleneck = np.full(n * n, np.inf)
         nonzero = worst > 0
-        bottleneck[nonzero] = 1.0 / worst[nonzero]
+        bottleneck[order[nonzero]] = 1.0 / worst[nonzero]
         return bottleneck.reshape(n, n)
 
 

@@ -110,12 +110,14 @@ class MemorySystem:
         Also refreshes the bulk-class matrices the simulator uses for
         key-value pulls: the zero-payload latency matrix (head + queueing,
         i.e. everything but serialization) and the effective per-pair
-        path capacity under the current load."""
-        l_ctrl = self.dense.latency_matrices([self._ctrl_bits])[self._ctrl_bits]
-        bulk = self.dense_bulk.latency_matrices([self._data_bits, 0.0])
+        path capacity under the current load, all from one utilization."""
+        rho = self.dense.utilization()
+        self.dense.record_token_wait(rho)
+        l_ctrl = self.dense.latency_matrices([self._ctrl_bits], rho)[self._ctrl_bits]
+        bulk = self.dense_bulk.latency_matrices([self._data_bits, 0.0], rho)
         l_data = bulk[self._data_bits]
         self.bulk_base_latency_s = bulk[0.0]
-        self.bulk_capacity_bps = self.dense_bulk.bottleneck_matrix()
+        self.bulk_capacity_bps = self.dense_bulk.bottleneck_matrix(rho)
         n = self.num_nodes
         # Expected L2 round trip per requesting node (request to bank,
         # bank service, response back) and expected extra L2-miss time

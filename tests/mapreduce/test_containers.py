@@ -1,7 +1,7 @@
 """Phoenix++-style container behaviour and partitioning determinism."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mapreduce.combiners import SumCombiner
@@ -11,6 +11,18 @@ from repro.mapreduce.containers import (
     OneBucketContainer,
     stable_key_hash,
 )
+
+
+def partition_items(container, num_partitions, partition):
+    """Reference P-scan partitioning: one full pass over the container per
+    partition, yielding the pairs whose key hashes into *partition*."""
+    if not 0 <= partition < num_partitions:
+        raise ValueError(
+            f"partition {partition} out of range [0, {num_partitions})"
+        )
+    for key, acc in container.items():
+        if stable_key_hash(key) % num_partitions == partition:
+            yield key, acc
 
 
 class TestStableKeyHash:
@@ -45,19 +57,20 @@ class TestHashContainer:
         assert dict(c.items()) == {"a": 3, "b": 5}
         assert len(c) == 2
 
-    def test_partition_items_cover_everything_once(self):
+    def test_partitions_cover_everything_once(self):
         c = HashContainer(SumCombiner())
         for i in range(100):
             c.emit(f"k{i}", 1)
         seen = []
-        for p in range(8):
-            seen.extend(k for k, _ in c.partition_items(8, p))
+        for bucket in c.partitions(8):
+            seen.extend(k for k, _ in bucket)
         assert sorted(seen) == sorted(f"k{i}" for i in range(100))
 
-    def test_partition_out_of_range(self):
+    def test_partitions_out_of_range(self):
         c = HashContainer(SumCombiner())
-        with pytest.raises(ValueError):
-            list(c.partition_items(4, 4))
+        for num_partitions in (0, -1):
+            with pytest.raises(ValueError):
+                c.partitions(num_partitions)
 
 
 class TestArrayContainer:
@@ -96,3 +109,51 @@ class TestOneBucketContainer:
         assert len(items) == 1
         assert items[0][1] == 5.0
         assert len(c) == 1
+
+
+SCALAR_KEYS = st.one_of(
+    st.text(max_size=12),
+    st.binary(max_size=12),
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.booleans(),
+)
+KEYS = st.recursive(
+    SCALAR_KEYS,
+    lambda children: st.lists(children, max_size=3).map(tuple),
+    max_leaves=8,
+)
+
+
+def filled(kind, keys, size):
+    """A container of *kind* with one emission per key (ArrayContainer
+    keys are folded into its range)."""
+    if kind == "hash":
+        container = HashContainer(SumCombiner())
+    elif kind == "array":
+        container = ArrayContainer(SumCombiner(), size)
+        keys = [stable_key_hash(key) % size for key in keys]
+    else:
+        container = OneBucketContainer(SumCombiner())
+    for value, key in enumerate(keys):
+        container.emit(key, value)
+    return container
+
+
+class TestPartitionsMatchPerPartitionScan:
+    @given(
+        st.sampled_from(["hash", "array", "one_bucket"]),
+        st.lists(KEYS, max_size=60),
+        st.integers(1, 67),
+        st.integers(1, 97),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_bucket_equals_the_scan_in_order(
+        self, kind, keys, num_partitions, size
+    ):
+        container = filled(kind, keys, size)
+        buckets = container.partitions(num_partitions)
+        assert len(buckets) == num_partitions
+        for partition, bucket in enumerate(buckets):
+            assert bucket == list(
+                partition_items(container, num_partitions, partition)
+            )

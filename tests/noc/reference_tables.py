@@ -1,11 +1,20 @@
-"""Per-pair reference builders for the exact static tables.
+"""Per-pair reference builders for the exact static tables, and the
+reference load refresh.
 
-These are the scalar walks the vectorized builders in
+The builders are the scalar walks the vectorized builders in
 :mod:`repro.noc.dense`, :meth:`repro.noc.network.FlowNetworkModel._flow_usage`
 and :func:`repro.noc.calibration.channel_utilizations` must reproduce
 byte for byte: one Python path walk per (src, dst) pair through
 ``FlowNetworkModel._path``, each hop's terms added in src-to-dst order.
-They are oracles only -- far too slow for the simulator.
+
+The refresh oracles (:func:`resource_load` through
+:func:`memory_refresh`) recompute what one
+:meth:`repro.sim.memory.MemorySystem.refresh_latencies` derives from the
+current NoC load the straightforward way: a Python loop over links for
+the resource loads, utilization recomputed by every consumer, and the
+per-pair bottleneck as a segmented ``np.maximum.reduceat`` over the
+deduplicated usage csr.  They are oracles only -- far too slow for the
+simulator.
 """
 
 from typing import Dict, List
@@ -181,3 +190,97 @@ def channel_loads(model: FlowNetworkModel, traffic_rate_bps: np.ndarray) -> np.n
             if rate > 0 and src != dst:
                 model.add_flow(src, dst, rate)
     return model.load.channel_load.copy()
+
+
+def resource_load(dense) -> np.ndarray:
+    """Per-resource load of *dense*'s network, one link at a time;
+    wireless-link columns stay zero (their hops bill the channel)."""
+    load = np.zeros(dense.num_resources)
+    link_load = dense.model.load.link_load
+    links = dense.model.topology.links
+    for index, link in enumerate(links):
+        if link.kind is LinkKind.WIRELESS:
+            continue
+        load[2 * index] = link_load[index, 0]
+        load[2 * index + 1] = link_load[index, 1]
+    channels = dense.model.load.channel_load
+    load[2 * len(links) : 2 * len(links) + len(channels)] = channels
+    return load
+
+
+def utilization(dense) -> np.ndarray:
+    load = resource_load(dense)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.where(dense._capacity > 0, load / dense._capacity, 0.0)
+    return np.minimum(rho, dense.model.params.max_utilization)
+
+
+def latency_matrices(dense, payload_bits) -> Dict[float, np.ndarray]:
+    """All-pairs latency per payload, utilization and serialization
+    recomputed on the spot."""
+    n = dense.num_nodes
+    rho = utilization(dense)
+    queue_per_resource = np.minimum(
+        dense._service * rho / (2.0 * (1.0 - rho)),
+        np.maximum(dense._buffer_flits - 1, 0) * dense._service,
+    )
+    queue = np.asarray(dense._usage @ queue_per_resource).reshape(n, n)
+    bottleneck = dense._raw_bottleneck
+    head = dense._head + queue
+    return {
+        bits: head + np.where(np.isinf(bottleneck), 0.0, bits / bottleneck)
+        for bits in payload_bits
+    }
+
+
+def bottleneck_matrix(dense) -> np.ndarray:
+    """Effective per-pair capacity: a per-row ``np.maximum.reduceat`` of
+    inverse capacities over the deduplicated usage csr."""
+    rho = utilization(dense)
+    effective = dense._capacity * (1.0 - rho)
+    inverse = np.zeros(dense.num_resources)
+    used = effective > 0
+    inverse[used] = 1.0 / effective[used]
+    usage = csr_matrix(
+        (np.ones_like(dense._usage.data), dense._usage.indices, dense._usage.indptr),
+        shape=dense._usage.shape,
+    )
+    worst = np.zeros(usage.shape[0])
+    if len(usage.indices):
+        data = inverse[usage.indices]
+        indptr = usage.indptr
+        starts = np.minimum(indptr[:-1], len(data) - 1)
+        worst = np.maximum.reduceat(data, starts)
+        worst[indptr[:-1] == indptr[1:]] = 0.0
+    n = dense.num_nodes
+    bottleneck = np.full(n * n, np.inf)
+    nonzero = worst > 0
+    bottleneck[nonzero] = 1.0 / worst[nonzero]
+    return bottleneck.reshape(n, n)
+
+
+def memory_refresh(memory):
+    """The four arrays one ``MemorySystem.refresh_latencies`` sets:
+    ``(l2_round_trip, mem_extra, bulk_base_latency_s, bulk_capacity_bps)``."""
+    l_ctrl = latency_matrices(memory.dense, [memory._ctrl_bits])[memory._ctrl_bits]
+    bulk = latency_matrices(memory.dense_bulk, [memory._data_bits, 0.0])
+    l_data = bulk[memory._data_bits]
+    n = memory.num_nodes
+    mem = memory.platform.memory_params
+    mc = memory.controller_of_bank
+    banks = np.arange(n)
+    extra_per_bank = l_ctrl[banks, mc] + l_data[mc, banks] + mem.dram_latency_s
+    block = memory.platform.noc_params.dense_block_nodes or n
+    l2_round_trip = np.empty(n)
+    mem_extra = np.empty(n)
+    for start in range(0, n, block):
+        end = min(start + block, n)
+        round_trip = (
+            l_ctrl[start:end]
+            + memory._bank_service_s[None, :]
+            + l_data.T[start:end]
+        )
+        prob = memory.bank_prob[start:end]
+        l2_round_trip[start:end] = (prob * round_trip).sum(axis=1)
+        mem_extra[start:end] = (prob * extra_per_bank[None, :]).sum(axis=1)
+    return l2_round_trip, mem_extra, bulk[0.0], bottleneck_matrix(memory.dense_bulk)

@@ -103,9 +103,13 @@ class TestSharedCacheInvalidation:
             degraded_topo, build_routing_table(degraded_topo),
             base.static_cache,
         )
-        base_latency = DenseLatencyModel(base).latency_matrices([544.0])[544.0]
-        degraded_latency = DenseLatencyModel(degraded).latency_matrices(
-            [544.0]
+        base_dense = DenseLatencyModel(base)
+        degraded_dense = DenseLatencyModel(degraded)
+        base_latency = base_dense.latency_matrices(
+            [544.0], base_dense.utilization()
+        )[544.0]
+        degraded_latency = degraded_dense.latency_matrices(
+            [544.0], degraded_dense.utilization()
         )[544.0]
         # The severed pair detours, so it must be strictly slower.
         assert degraded_latency[0, 1] > base_latency[0, 1]

@@ -5,8 +5,9 @@
 :func:`repro.noc.calibration.channel_utilizations` build their tables
 from one vectorized forward-order walk (:func:`repro.noc.pathwalk.route_hops`).
 Every float must come out with the bits of the scalar src-to-dst
-accumulation in :mod:`tests.noc.reference_tables`, and every csr with
-the same ``indices``/``indptr``/``data`` arrays.
+accumulation in :mod:`tests.noc.reference_tables`, every csr with
+the same ``indices``/``indptr``/``data`` arrays, and the bottleneck
+member layout with each pair's distinct resources in csr order.
 """
 
 import numpy as np
@@ -17,86 +18,11 @@ from hypothesis import strategies as st
 from repro.noc.calibration import channel_utilizations
 from repro.noc.dense import DenseLatencyModel, PairwiseEnergy
 from repro.noc.network import FlowNetworkModel, NocParams
-from repro.noc.placement import center_wireless_placement
-from repro.noc.routing import (
-    build_mesh_routing,
-    build_routing_table,
-    default_link_weight,
-)
-from repro.noc.smallworld import build_small_world
+from repro.noc.routing import build_mesh_routing, build_routing_table
 from repro.noc.topology import GridGeometry, Link, LinkKind, Topology, build_mesh
-from repro.noc.wireless import WirelessSpec, assign_wireless_links
-from repro.vfi.islands import quadrant_clusters
+from repro.noc.wireless import WirelessSpec
 from tests.noc import reference_tables as reference
-
-GEO = GridGeometry(8, 8)
-CLUSTERS = list(quadrant_clusters(GEO).node_cluster)
-MIXED_FREQS = [2.5e9, 2.25e9, 2.0e9, 1.75e9]
-
-
-def wire_preferring(topology):
-    """Bulk-class routing: wireless hops priced out, as on the platforms."""
-
-    def weight(link):
-        if link.kind is LinkKind.WIRELESS:
-            return 1e4
-        return default_link_weight(link)
-
-    return build_routing_table(topology, weight=weight)
-
-
-def winoc_topology():
-    wireline = build_small_world(GEO, CLUSTERS, seed=3)
-    return assign_wireless_links(
-        wireline, center_wireless_placement(GEO, CLUSTERS)
-    )
-
-
-def xy_mesh():
-    mesh = build_mesh(GEO)
-    return FlowNetworkModel(mesh, build_mesh_routing(mesh), [0] * 64, [2.5e9])
-
-
-def vfi_mesh():
-    mesh = build_mesh(GEO)
-    return FlowNetworkModel(mesh, build_mesh_routing(mesh), CLUSTERS, MIXED_FREQS)
-
-
-def winoc():
-    topology = winoc_topology()
-    return FlowNetworkModel(
-        topology,
-        build_routing_table(topology),
-        CLUSTERS,
-        MIXED_FREQS,
-        bulk_routing=wire_preferring(topology),
-    )
-
-
-def degraded_winoc():
-    """Failed wires and one lost wireless link, rerouted by shortest path
-    (what :class:`repro.faults.engine.FaultEngine` builds)."""
-    topology = winoc_topology()
-    wires = [l for l in topology.links if l.kind is LinkKind.WIRE]
-    radios = [l for l in topology.links if l.kind is LinkKind.WIRELESS]
-    drop = [wires[3].key, wires[17].key, wires[40].key, radios[0].key]
-    degraded = topology.without_links(drop, name="degraded")
-    assert degraded.is_connected()
-    return FlowNetworkModel(
-        degraded,
-        build_routing_table(degraded),
-        CLUSTERS,
-        MIXED_FREQS,
-        bulk_routing=wire_preferring(degraded),
-    )
-
-
-FABRICS = {
-    "xy_mesh": xy_mesh,
-    "vfi_mesh": vfi_mesh,
-    "winoc": winoc,
-    "degraded_winoc": degraded_winoc,
-}
+from tests.noc.fabrics import FABRICS, channel_twice, winoc, wire_preferring
 
 
 def assert_same_array(actual, expected):
@@ -112,6 +38,25 @@ def assert_same_csr(actual, expected):
         assert_same_array(getattr(actual, part), getattr(expected, part))
 
 
+def assert_members_match(dense, binary_usage):
+    """Every pair's member list, rebuilt hop position by hop position
+    from the bottleneck member layout, is exactly its row of the
+    deduplicated usage (distinct resources, csr order); the layout is
+    intp prefixes of non-increasing width."""
+    order, members_by_hop = dense._layout()
+    assert order.dtype == np.intp
+    assert all(members.dtype == np.intp for members in members_by_hop)
+    widths = [len(members) for members in members_by_hop]
+    assert widths == sorted(widths, reverse=True)
+    rows = [[] for _ in range(len(order))]
+    for members in members_by_hop:
+        for pair, resource in zip(order[: len(members)], members):
+            rows[pair].append(resource)
+    indptr, indices = binary_usage.indptr, binary_usage.indices
+    for pair, row in enumerate(rows):
+        assert row == list(indices[indptr[pair] : indptr[pair + 1]])
+
+
 def assert_tables_match(model, bulk):
     expected = reference.dense_static(model, bulk)
     dense = DenseLatencyModel(model, bulk=bulk)
@@ -122,7 +67,7 @@ def assert_tables_match(model, bulk):
     assert_same_array(dense._buffer_flits, expected["buffer_flits"])
     assert dense.num_resources == expected["num_resources"]
     assert_same_csr(dense._usage, expected["usage"])
-    assert_same_csr(dense._binary_usage, expected["binary_usage"])
+    assert_members_match(dense, expected["binary_usage"])
 
     pairwise = PairwiseEnergy(model, bulk=bulk)
     energy, hops, wireless = reference.pairwise_static(model, bulk)
@@ -168,12 +113,18 @@ def test_blocked_tables_match_exact(fabric, block):
         assert_same_array(got._raw_bottleneck, want._raw_bottleneck.astype(np.float32))
         for got_csr, want_csr in [
             (got._usage, want._usage),
-            (got._binary_usage, want._binary_usage),
             (blocked._flow_usage(bulk), exact._flow_usage(bulk)),
         ]:
             assert_same_array(got_csr.indices, want_csr.indices)
             assert_same_array(got_csr.indptr, want_csr.indptr)
             assert_same_array(got_csr.data, want_csr.data.astype(np.float32))
+        (got_order, got_members), (want_order, want_members) = (
+            got._layout(), want._layout()
+        )
+        assert_same_array(got_order, want_order)
+        assert len(got_members) == len(want_members)
+        for got_hop, want_hop in zip(got_members, want_members):
+            assert_same_array(got_hop, want_hop)
         got_e = PairwiseEnergy(blocked, bulk=bulk)
         want_e = PairwiseEnergy(exact, bulk=bulk)
         np.testing.assert_allclose(got_e.energy_per_bit, want_e.energy_per_bit, rtol=1e-6)
@@ -268,20 +219,7 @@ class TestChannelUtilizations:
         """0 -radio- 2 -wire- 3 -radio- 5, both radios on channel 0: the
         scalar loop adds such a route's rate to the channel twice, one
         ``+=`` at a time, in (pair, hop) order."""
-        geo = GridGeometry(6, 1)
-        links = [Link(i, i + 1, LinkKind.WIRE, 2.5) for i in range(5)]
-        links += [
-            Link(0, 2, LinkKind.WIRELESS, 0.0, 0),
-            Link(3, 5, LinkKind.WIRELESS, 0.0, 0),
-        ]
-        topology = Topology(name="twice", geometry=geo, links=links)
-        routing = build_routing_table(
-            topology,
-            weight=lambda link: 0.5 if link.kind is LinkKind.WIRELESS else 1.0,
-        )
-        model = FlowNetworkModel(
-            topology, routing, [0] * 6, [2.5e9], wireless=WirelessSpec(num_channels=1)
-        )
+        model = channel_twice()
         path, _ = model._path(0, 5)
         assert [link.channel for link in path].count(0) == 2
         for seed in range(20):

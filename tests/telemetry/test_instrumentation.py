@@ -5,6 +5,8 @@ the study memo bypassed) so one module-scoped fixture feeds both the
 span-content checks and the byte-identical-export determinism regression.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.core.experiment import (
@@ -15,6 +17,7 @@ from repro.core.experiment import (
     run_app_study,
 )
 from repro.mapreduce.tasks import Phase
+from repro.sim.memory import MemorySystem
 from repro.telemetry import RecordingTracer, use_tracer
 from repro.telemetry.export import write_chrome_trace, write_jsonl
 from repro.telemetry.summary import (
@@ -130,3 +133,25 @@ class TestDeterminism:
     def test_wall_spans_recorded_but_excluded(self, traced_runs):
         (tracer, _), _ = traced_runs
         assert any(span.wall for span in tracer.spans)
+
+
+class TestTokenWait:
+    def test_one_observation_per_channel_per_refresh(self, monkeypatch):
+        """``noc.token_wait_s`` records each wireless channel once per load
+        refresh, not once per message class."""
+        refreshes = Counter()
+        channels = {}
+        refresh = MemorySystem.refresh_latencies
+
+        def counted(memory):
+            network = memory.dense.model
+            refreshes[network.trace_label] += 1
+            channels[network.trace_label] = len(network._wireless_channels)
+            refresh(memory)
+
+        monkeypatch.setattr(MemorySystem, "refresh_latencies", counted)
+        tracer, study = _traced_run()
+        winoc = study.result(VFI2_WINOC).platform_name
+        assert refreshes[winoc] > 1 and channels[winoc] > 0
+        observed = tracer.histograms[f"noc.token_wait_s/{winoc}"].count
+        assert observed == refreshes[winoc] * channels[winoc]
