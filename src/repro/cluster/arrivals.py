@@ -25,7 +25,7 @@ from typing import (
 )
 
 from repro.cluster.jobs import ClusterJob
-from repro.utils.jsonutil import canonical_json, to_builtin
+from repro.utils.jsonutil import canonical_json
 from repro.utils.rng import derive_rng, spawn_seed
 
 #: Bump when the trace JSON schema changes (invalidates recorded runs).
@@ -71,7 +71,6 @@ class ArrivalTrace:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ArrivalTrace":
-        data = to_builtin(dict(data))
         version = data.get("schema_version", TRACE_SCHEMA_VERSION)
         if version != TRACE_SCHEMA_VERSION:
             raise ValueError(

@@ -18,6 +18,12 @@ from typing import Any
 import numpy as np
 
 
+#: Exact types :func:`to_builtin` returns unchanged.
+_LEAVES = frozenset((str, int, float, bool, type(None)))
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def to_builtin(value: Any) -> Any:
     """Recursively convert *value* to JSON-native builtin types.
 
@@ -27,7 +33,21 @@ def to_builtin(value: Any) -> Any:
     stringified the way ``json.dumps`` would.  Anything else is returned
     unchanged -- the encoder raises on genuinely non-serializable values,
     which is the correct failure mode for a schema bug.
+
+    Exact builtin types take a fast path; subclasses and numpy values
+    take the ``isinstance`` path below, with the same output.
     """
+    cls = type(value)
+    if cls in _LEAVES:
+        return value
+    if cls is dict:
+        return {
+            k if type(k) is str else _builtin_key(k):
+            v if type(v) in _LEAVES else to_builtin(v)
+            for k, v in value.items()
+        }
+    if cls is list or cls is tuple:
+        return [v if type(v) in _LEAVES else to_builtin(v) for v in value]
     if isinstance(value, dict):
         return {_builtin_key(k): to_builtin(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -55,9 +75,4 @@ def canonical_json(value: Any) -> str:
     same bytes, so sha256 over the text is a stable content address and
     two replays can be compared with ``==``.
     """
-    return json.dumps(
-        to_builtin(value),
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-    )
+    return _ENCODER.encode(to_builtin(value))

@@ -1,6 +1,7 @@
 """The `repro cluster` CLI: run / replay / report round trips."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -116,3 +117,67 @@ def test_cluster_run_custom_trace(capsys, cache_dir, tmp_path):
     captured = capsys.readouterr()
     assert rc == 0
     assert "locality" in captured.out
+
+
+GOLDEN_RECORD = (
+    pathlib.Path(__file__).parent.parent / "data" / "cluster_golden"
+    / "smoke_fifo.json"
+)
+
+
+def _records_not_a_list(data):
+    data["records"] = 5
+
+
+def _unknown_job_key(data):
+    data["trace"]["jobs"][0]["bogus"] = 1
+
+
+def _unknown_record_job_key(data):
+    data["records"][0]["job"]["bogus"] = 1
+
+
+def _arrival_is_a_list(data):
+    data["trace"]["jobs"][0]["arrival_s"] = [1]
+
+
+def _trace_jobs_null(data):
+    data["trace"]["jobs"] = None
+
+
+def _report_is_a_list(data):
+    data["report"] = []
+
+
+def _missing_policy(data):
+    del data["policy"]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _records_not_a_list,
+        _unknown_job_key,
+        _unknown_record_job_key,
+        _arrival_is_a_list,
+        _trace_jobs_null,
+        _report_is_a_list,
+        _missing_policy,
+        None,  # the whole record is a JSON list
+    ],
+)
+def test_cluster_replay_malformed_record_is_one_line(
+    capsys, tmp_path, corrupt
+):
+    data = json.loads(GOLDEN_RECORD.read_text())
+    if corrupt is None:
+        data = [data]
+    else:
+        corrupt(data)
+    record = tmp_path / "bad.json"
+    record.write_text(json.dumps(data))
+    rc = main(["cluster", "replay", "--record", str(record)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("repro: error: malformed cluster record: ")

@@ -1,12 +1,17 @@
 """canonical_json / to_builtin: the byte-stability foundation."""
 
+import enum
 import json
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utils.jsonutil import canonical_json, to_builtin
+from tests.utils import json_oracle
 
 
 class TestToBuiltin:
@@ -61,3 +66,80 @@ class TestCanonicalJson:
         payload = {"jobs": [{"id": np.int64(1), "t": np.float64(2.5)}]}
         text = canonical_json(payload)
         assert canonical_json(json.loads(text)) == text
+
+
+class Label(str):
+    """A str subclass: must not take the exact-str fast path."""
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+hostile_keys = st.one_of(
+    st.text(max_size=4),
+    st.text(max_size=4).map(Label),
+    st.booleans(),
+    st.integers(min_value=-5, max_value=5),
+    st.floats(allow_nan=False, width=32),
+    st.integers(min_value=-5, max_value=5).map(np.int64),
+    st.sampled_from(Level),
+)
+
+hostile_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=4),
+    st.text(max_size=4).map(Label),
+    st.sampled_from(Level),
+    st.integers(min_value=-9, max_value=9).map(np.int64),
+    st.floats(allow_nan=False).map(np.float64),
+    st.booleans().map(np.bool_),
+    st.lists(st.integers(-9, 9), max_size=4).map(np.array),
+    st.lists(st.floats(allow_nan=False), max_size=4).map(np.array),
+)
+
+hostile_values = st.recursive(
+    hostile_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(hostile_keys, inner, max_size=4),
+        st.dictionaries(hostile_keys, inner, max_size=4).map(OrderedDict),
+    ),
+    max_leaves=16,
+)
+
+
+def _assert_identical(got, want, path="$"):
+    """Equal values of the same exact type, dict items in the same order."""
+    assert type(got) is type(want), f"{path}: {type(got)} != {type(want)}"
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        assert [type(k) for k in got] == [type(k) for k in want], path
+        for key in want:
+            _assert_identical(got[key], want[key], f"{path}.{key!r}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for index, (a, b) in enumerate(zip(got, want)):
+            _assert_identical(a, b, f"{path}[{index}]")
+    else:
+        assert got == want, path
+
+
+class TestToBuiltinOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(value=hostile_values)
+    def test_matches_the_isinstance_walk(self, value):
+        _assert_identical(to_builtin(value), json_oracle.to_builtin(value))
+
+    def test_subclasses_are_returned_as_is(self):
+        label = Label("x")
+        assert to_builtin(label) is label
+        assert to_builtin(Level.HIGH) is Level.HIGH
+        out = to_builtin({Label("k"): Level.LOW, True: np.float64(0.5)})
+        assert [type(k) for k in out] == [Label, bool]
+        assert type(out[True]) is float
