@@ -71,17 +71,24 @@ class ArrivalTrace:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ArrivalTrace":
+        if not isinstance(data, dict):
+            raise ValueError("malformed arrival trace: not a JSON object")
         version = data.get("schema_version", TRACE_SCHEMA_VERSION)
         if version != TRACE_SCHEMA_VERSION:
             raise ValueError(
                 f"trace schema version {version} not supported "
                 f"(expected {TRACE_SCHEMA_VERSION})"
             )
-        return cls(
-            name=data["name"],
-            seed=data["seed"],
-            jobs=tuple(ClusterJob.from_dict(j) for j in data["jobs"]),
-        )
+        try:
+            return cls(
+                name=data["name"],
+                seed=data["seed"],
+                jobs=tuple(ClusterJob.from_dict(j) for j in data["jobs"]),
+            )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(
+                f"malformed arrival trace: {type(exc).__name__}: {exc}"
+            ) from None
 
     def to_json(self) -> str:
         """Canonical JSON encoding (stable bytes; see trace_key)."""

@@ -127,7 +127,7 @@ class ClusterRunResult:
                 study_stats=dict(data.get("study_stats", {})),
                 source=data.get("source"),
             )
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValueError(
                 f"malformed cluster record: {type(exc).__name__}: {exc}"
             ) from None

@@ -16,19 +16,18 @@ beyond the paper's figures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.design_flow import VfiDesign
-from repro.energy.metrics import EnergyBreakdown
 from repro.mapreduce.tasks import Phase
 from repro.mapreduce.trace import JobTrace
 from repro.sim.config import SimulationParams
 from repro.sim.platform import Platform
-from repro.sim.stats import NetworkStats, PhaseStats, SimulationResult
-from repro.sim.system import SystemSimulator
+from repro.sim.stats import PhaseStats, SimulationResult
+from repro.sim.system import EnergySegment, SystemSimulator, fold_segments
 from repro.mapreduce.scheduler import StealingPolicy
 from repro.utils.validation import check_positive
 from repro.vfi.islands import DVFS_LADDER, VfPoint
@@ -173,9 +172,9 @@ class PhaseAdaptiveSimulator:
             # reduce
             points, sim = enter(Phase.REDUCE)
             start = now
-            now = sim._run_reduce(
-                iteration.reduce_phase.tasks, now, busy_by_points[points],
-                phases, iteration.iteration,
+            now = sim._run_barrier(
+                Phase.REDUCE, iteration.reduce_phase.tasks, now,
+                busy_by_points[points], phases, iteration.iteration,
             )
             elapsed_by_points[points] += now - start
             # merge stages
@@ -183,10 +182,11 @@ class PhaseAdaptiveSimulator:
                 points, sim = enter(Phase.MERGE)
                 start = now
                 for stage in iteration.merge_stages:
-                    now = sim._run_merge_stage(
-                        stage.tasks, now, busy_by_points[points], phases,
-                        iteration.iteration,
-                    )
+                    if stage.tasks:
+                        now = sim._run_barrier(
+                            Phase.MERGE, stage.tasks, now,
+                            busy_by_points[points], phases, iteration.iteration,
+                        )
                 elapsed_by_points[points] += now - start
 
         total_time = now
@@ -204,42 +204,20 @@ class PhaseAdaptiveSimulator:
         busy_by_points: Dict[Tuple[VfPoint, ...], np.ndarray],
         elapsed_by_points: Dict[Tuple[VfPoint, ...], float],
     ) -> SimulationResult:
+        """Fold one energy segment per V/F assignment."""
         num_workers = self.base_platform.num_cores
-        breakdown = EnergyBreakdown()
+        segments = [
+            EnergySegment.capture(
+                sim.platform, elapsed_by_points[points], busy_by_points[points]
+            )
+            for points, sim in self._simulators.items()
+        ]
+        breakdown, stats = fold_segments(segments)
         total_busy = np.zeros(num_workers)
         committed = np.zeros(num_workers)
-        bits = hops_bits = wireless = dynamic = static = 0.0
         for points, sim in self._simulators.items():
-            platform = sim.platform
-            elapsed = elapsed_by_points[points]
-            busy = busy_by_points[points]
-            total_busy += busy
+            total_busy += busy_by_points[points]
             committed += sim._committed
-            for worker in range(num_workers):
-                power = platform.core_power_of(platform.island_of_worker(worker))
-                vf = platform.vf_of_worker(worker)
-                busy_s = float(min(busy[worker], elapsed))
-                idle_s = max(elapsed - busy_s, 0.0)
-                breakdown.core_dynamic_j += (
-                    power.dynamic_power_w(vf, 1.0) * busy_s
-                    + power.dynamic_power_w(vf, power.params.idle_activity) * idle_s
-                )
-                breakdown.core_static_j += power.leakage_power_w(vf) * elapsed
-            network = platform.network
-            dynamic += network.energy.dynamic_joules
-            static += network.static_energy(elapsed)
-            bits += network.energy.bits_moved
-            hops_bits += network.energy.bit_hops
-            wireless += network.energy.wireless_bits
-        breakdown.noc_dynamic_j = dynamic
-        breakdown.noc_static_j = static
-        stats = NetworkStats(
-            bits_moved=bits,
-            average_hops=hops_bits / bits if bits else 0.0,
-            wireless_fraction=wireless / bits if bits else 0.0,
-            dynamic_energy_j=dynamic,
-            static_energy_j=static,
-        )
         # Report utilization against the MAP assignment's frequencies (the
         # dominant phase), consistent with the static simulator.
         map_platform = self._simulators[

@@ -25,8 +25,6 @@ distant key traffic).
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 import numpy as np
 
 from repro.noc.dense import DenseLatencyModel, PairwiseEnergy
@@ -146,14 +144,6 @@ class MemorySystem:
         self._l2_round_trip = l2_round_trip
         self._mem_extra = mem_extra
 
-    def l2_round_trip_s(self, node: int) -> float:
-        """Expected L1-miss service time for a core at *node*."""
-        return float(self._l2_round_trip[node])
-
-    def memory_extra_s(self, node: int) -> float:
-        """Expected additional time when the access also misses in L2."""
-        return float(self._mem_extra[node])
-
     def l2_round_trip_all_s(self) -> np.ndarray:
         """Per-node expected L1-miss service times (view, do not mutate)."""
         return self._l2_round_trip
@@ -161,18 +151,6 @@ class MemorySystem:
     def memory_extra_all_s(self) -> np.ndarray:
         """Per-node expected extra L2-miss times (view, do not mutate)."""
         return self._mem_extra
-
-    def task_stall_s(
-        self, node: int, l2_accesses: float, memory_accesses: float, mlp: float
-    ) -> float:
-        """Total stall time charged to a task, with MLP overlap."""
-        if mlp <= 0:
-            raise ValueError(f"mlp must be > 0, got {mlp}")
-        raw = (
-            l2_accesses * self.l2_round_trip_s(node)
-            + memory_accesses * self.memory_extra_s(node)
-        )
-        return raw / mlp
 
     # ------------------------------------------------------------------ #
     # flows and energy

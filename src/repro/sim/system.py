@@ -15,28 +15,41 @@ Replays a :class:`repro.mapreduce.trace.JobTrace` on a
 
 Each phase is relaxed to a latency/traffic fixed point: durations are
 computed with the current NoC load estimate, the implied flows are
-re-registered, latencies refreshed, and the phase re-scheduled.  By
-default the loop runs until the phase end time converges
-(``SimulationParams.relaxation_rtol`` relative change, bounded by
-``max_relaxation_iterations``); setting ``relaxation_rtol=None``
-reproduces the legacy fixed-round schedule
-(``relaxation_iterations`` rounds plus a final pass) bit-for-bit.
+re-registered, latencies refreshed, and the phase re-scheduled until the
+phase end time moves by less than ``SimulationParams.relaxation_rtol``
+of the phase duration (at most ``max_relaxation_iterations`` rounds).
 Energy is recorded once, for the committed schedule.
 
-Flow registration is vectorized: per-phase miss traffic enters the NoC
-through one mat-vec over precomputed per-node resource rows
-(:meth:`repro.sim.memory.MemorySystem.add_miss_flows_batch`) and
-key-value streams through one batched
-:meth:`repro.noc.network.FlowNetworkModel.add_flows` call; map-task
-durations are evaluated as one broadcasted (records x workers) matrix
-per relaxation round.
+Every step has one code path, for clean and fault-injected runs alike:
+
+* **durations** -- one broadcasting compute-plus-stall helper
+  (:meth:`SystemSimulator._compute_stall`) serves the map phase's
+  (records x workers) matrix, library init, the barrier evaluator and
+  the telemetry split;
+* **barrier phases** (reduce, merge) flatten their records into a
+  :class:`_KvPlan` once, and :meth:`SystemSimulator._barrier_durations`
+  evaluates every record on its committed worker in one vectorized
+  pass; a fault's substitution chain reads its durations from the same
+  evaluator;
+* **flows** -- miss traffic enters the NoC through one mat-vec over
+  precomputed per-node resource rows
+  (:meth:`repro.sim.memory.MemorySystem.add_miss_flows_batch`) and
+  key-value streams through one batched
+  :meth:`repro.noc.network.FlowNetworkModel.add_flows` call;
+* **energy** -- every run opens an energy segment at t=0; each platform
+  switch (a cap-governor throttle, a fault's degraded fabric) closes it
+  and opens the next, and one fold over the segments
+  (:func:`fold_segments`, shared with
+  :class:`repro.sim.adaptive.PhaseAdaptiveSimulator`) charges each at
+  its own V/F.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,8 +100,9 @@ class _Recovery:
 
 
 @dataclass
-class _Segment:
-    """One closed energy-accounting segment of a segmented run.
+class EnergySegment:
+    """One closed energy-accounting segment: a stretch of the run on one
+    platform configuration (V/F assignment, fabric).
 
     Network counters are captured when the segment closes (at the
     platform switch), not at finalize: a run that revisits a platform
@@ -105,6 +119,69 @@ class _Segment:
     bit_hops: float
     wireless_bits: float
 
+    @classmethod
+    def capture(
+        cls, platform: Platform, elapsed_s: float, busy_s: np.ndarray
+    ) -> "EnergySegment":
+        """Close a segment on *platform*'s current network counters."""
+        network = platform.network
+        energy = network.energy
+        return cls(
+            platform=platform,
+            elapsed_s=elapsed_s,
+            busy_s=busy_s,
+            noc_dynamic_j=energy.dynamic_joules,
+            noc_static_j=network.static_energy(elapsed_s),
+            bits_moved=energy.bits_moved,
+            bit_hops=energy.bit_hops,
+            wireless_bits=energy.wireless_bits,
+        )
+
+
+def fold_segments(
+    segments: Sequence[EnergySegment],
+) -> Tuple[EnergyBreakdown, NetworkStats]:
+    """Energy breakdown and network statistics of a run's segments.
+
+    Each segment's cores are charged at that segment's V/F: dynamic
+    power over their busy time, idle-activity power over the rest, and
+    leakage over the whole segment.  Lost (killed) execution intervals
+    are part of the busy time, so wasted work is charged; a dead core
+    keeps burning idle and leakage power (a functional failure is not a
+    power-gated core).  Network energy and traffic sum over segments.
+    """
+    breakdown = EnergyBreakdown()
+    bits = hops_bits = wireless = dynamic = static = 0.0
+    for segment in segments:
+        platform = segment.platform
+        elapsed = segment.elapsed_s
+        for worker in range(platform.num_cores):
+            power = platform.core_power_of(platform.island_of_worker(worker))
+            point = platform.vf_of_worker(worker)
+            busy_s = float(min(segment.busy_s[worker], elapsed))
+            idle_s = max(elapsed - busy_s, 0.0)
+            breakdown.core_dynamic_j += (
+                power.dynamic_power_w(point, 1.0) * busy_s
+                + power.dynamic_power_w(point, power.params.idle_activity)
+                * idle_s
+            )
+            breakdown.core_static_j += power.leakage_power_w(point) * elapsed
+        dynamic += segment.noc_dynamic_j
+        static += segment.noc_static_j
+        bits += segment.bits_moved
+        hops_bits += segment.bit_hops
+        wireless += segment.wireless_bits
+    breakdown.noc_dynamic_j = dynamic
+    breakdown.noc_static_j = static
+    stats = NetworkStats(
+        bits_moved=bits,
+        average_hops=hops_bits / bits if bits else 0.0,
+        wireless_fraction=wireless / bits if bits else 0.0,
+        dynamic_energy_j=dynamic,
+        static_energy_j=static,
+    )
+    return breakdown, stats
+
 
 @dataclass
 class _KvPlan:
@@ -113,19 +190,18 @@ class _KvPlan:
     Everything here depends only on the records -- home workers, task
     costs, and the flattened key-value source list (record row, source
     node, stream bits) -- so it is built once per phase and reused by
-    every relaxation round's batched duration evaluation, the flow
-    registration, and the committed energy fold.  Only the latency
-    tables change between rounds.
+    every relaxation round's duration evaluation, the flow registration,
+    and the committed energy fold.  Only the latency tables and, under
+    fault injection, the executing workers change between rounds.
 
     ``kv_*`` arrays are flattened over all records' sources in record
-    order (the exact order the scalar path iterates); ``kv_bounds`` is
-    the CSR-style record boundary, and ``kv_slot`` each source's
-    position within its record (for scattering per-source terms into
-    the zero-padded per-record summation rows).
+    order; ``kv_bounds`` is the CSR-style record boundary, and
+    ``kv_slot`` each source's position within its record (for
+    scattering per-source terms into the zero-padded per-record
+    summation rows).
     """
 
     home: np.ndarray
-    nodes: np.ndarray
     instructions: np.ndarray
     l2: np.ndarray
     mem: np.ndarray
@@ -198,7 +274,7 @@ class SystemSimulator:
             else None
         )
         # Power capping: the unbounded spec is normalized to "no cap" so
-        # uncapped runs construct no governor and keep the legacy path.
+        # uncapped runs construct no governor.
         cap = normalize_cap(params.power_cap)
         self.governor: Optional[CapGovernor] = (
             CapGovernor(platform, cap, tracer=self.tracer)
@@ -227,14 +303,13 @@ class SystemSimulator:
             self.faults.begin(trace)
         if self.governor is not None:
             self.governor.begin(trace)
-        if self.faults is not None or self.governor is not None:
-            # Segmented energy accounting: each platform change (throttle
-            # or fabric degradation) closes a :class:`_Segment`,
-            # mirroring PhaseAdaptiveSimulator's bookkeeping.
-            self._segments: List[_Segment] = []
-            self._segment_start = 0.0
-            self._busy_snapshot = np.zeros(self.platform.num_cores)
-            self._run_busy = busy
+        # Energy accounting: the run opens a segment at t=0; each
+        # platform change (throttle or fabric degradation) closes it and
+        # opens the next.
+        self._segments: List[EnergySegment] = []
+        self._segment_start = 0.0
+        self._busy_snapshot = np.zeros(self.platform.num_cores)
+        self._run_busy = busy
         for iteration in trace.iterations:
             self._apply_boundary_controls(now)
             now = self._run_lib_init(iteration.lib_init, now, busy, phases, iteration.iteration)
@@ -243,14 +318,17 @@ class SystemSimulator:
                 iteration.map_phase.tasks, now, busy, phases, iteration.iteration
             )
             self._apply_boundary_controls(now)
-            now = self._run_reduce(
-                iteration.reduce_phase.tasks, now, busy, phases, iteration.iteration
+            now = self._run_barrier(
+                Phase.REDUCE, iteration.reduce_phase.tasks, now, busy, phases,
+                iteration.iteration,
             )
             for stage in iteration.merge_stages:
                 self._apply_boundary_controls(now)
-                now = self._run_merge_stage(
-                    stage.tasks, now, busy, phases, iteration.iteration
-                )
+                if stage.tasks:
+                    now = self._run_barrier(
+                        Phase.MERGE, stage.tasks, now, busy, phases,
+                        iteration.iteration,
+                    )
         total_time = now
         return self._finalize(trace, total_time, busy, phases)
 
@@ -301,17 +379,9 @@ class SystemSimulator:
     def _close_segment(self, now: float) -> None:
         """Snapshot the outgoing platform's elapsed/busy/network state."""
         elapsed = max(float(now - self._segment_start), 0.0)
-        network = self.platform.network
         self._segments.append(
-            _Segment(
-                platform=self.platform,
-                elapsed_s=elapsed,
-                busy_s=(self._run_busy - self._busy_snapshot).copy(),
-                noc_dynamic_j=network.energy.dynamic_joules,
-                noc_static_j=network.static_energy(elapsed),
-                bits_moved=network.energy.bits_moved,
-                bit_hops=network.energy.bit_hops,
-                wireless_bits=network.energy.wireless_bits,
+            EnergySegment.capture(
+                self.platform, elapsed, self._run_busy - self._busy_snapshot
             )
         )
         self._busy_snapshot = self._run_busy.copy()
@@ -355,17 +425,24 @@ class SystemSimulator:
     ) -> float:
         self.platform.network.reset_flows()
         self.memory.refresh_latencies()
+        cost = record.cost
+
+        def duration_on(worker: int) -> float:
+            compute, stall = self._compute_stall(
+                cost.instructions, cost.l2_accesses, cost.memory_accesses, worker
+            )
+            return float(compute + stall)
+
         if self.faults is None:
             worker = record.home_worker
-            duration = self._task_time(record, worker)
-            item = _ScheduledTask(record, worker, start, duration)
+            item = _ScheduledTask(record, worker, start, duration_on(worker))
         else:
             item, recovery = self._execute_with_substitution(
-                record, start, kv=False
+                record, start, duration_on
             )
             self._fold_recovery(recovery, busy)
         busy[item.worker] += item.duration_s
-        self._record_task_energy(record, item.worker)
+        self._record_phase_energy([item])
         phases.append(
             PhaseStats(Phase.LIB_INIT, iteration, start, item.end_s)
         )
@@ -375,71 +452,40 @@ class SystemSimulator:
         return item.end_s
 
     def _relax_phase(
-        self,
-        schedule_fn,
-        start: float,
-        kv: bool,
-        legacy_rounds: int,
-        plan: Optional[_KvPlan] = None,
+        self, schedule_fn, start: float, plan: Optional[_KvPlan] = None
     ):
         """Drive one phase to its latency/traffic fixed point.
 
         ``schedule_fn`` reschedules the phase under the current latency
         estimate and returns a tuple whose first two entries are
         ``(schedule, end)``; the committed result tuple is returned.
-        ``plan`` (barrier kv phases, fault-free) lets flow registration
-        reuse the phase-invariant index arrays instead of re-walking the
-        schedule.
+        ``plan`` marks a barrier phase, whose key-value streams are
+        registered along with the miss traffic.
 
-        Adaptive mode (``relaxation_rtol`` set) iterates until the phase
-        end time moves by less than ``rtol`` relative to the phase
-        duration and commits the converged schedule directly.  Legacy mode
-        (``relaxation_rtol=None``) runs exactly ``legacy_rounds``
-        register/refresh rounds followed by one final scheduling pass,
-        reproducing the historical fixed-round behaviour.
+        Iterates until the phase end time moves by less than
+        ``relaxation_rtol`` relative to the phase duration (at most
+        ``max_relaxation_iterations`` rounds) and commits the converged
+        schedule directly.
         """
         params = self.params
         rtol = params.relaxation_rtol
-        if rtol is None:
-            for _ in range(legacy_rounds):
-                result = schedule_fn()
-                schedule, end = result[0], result[1]
-                self._register_phase_flows(
-                    schedule, max(end - start, 1e-12), kv=kv, plan=plan
-                )
-                self.memory.refresh_latencies()
-            # Final schedule under converged latencies.
-            return schedule_fn()
-        residual_mode = params.relaxation_criterion == "worker_residual"
         result = schedule_fn()
         iterations = 1
         residual = 0.0
-        prev_busy = self._schedule_busy(result[0]) if residual_mode else None
         for _ in range(params.max_relaxation_iterations):
             schedule, end = result[0], result[1]
             self._register_phase_flows(
-                schedule, max(end - start, 1e-12), kv=kv, plan=plan
+                schedule, max(end - start, 1e-12), plan=plan
             )
             self.memory.refresh_latencies()
             result = schedule_fn()
             iterations += 1
             new_end = result[1]
-            if residual_mode:
-                # Converge on the largest per-worker busy-time movement:
-                # load can migrate between workers (steals flip) without
-                # moving the makespan at all.
-                new_busy = self._schedule_busy(result[0])
-                scale = max(new_end - start, 1e-12)
-                residual = float(np.max(np.abs(new_busy - prev_busy))) / scale
-                prev_busy = new_busy
-                if residual <= rtol:
-                    break
-            else:
-                # The residual is reported either way; the break condition
-                # is kept as the exact historical comparison.
-                residual = abs(new_end - end) / max(new_end - start, 1e-12)
-                if abs(new_end - end) <= rtol * max(new_end - start, 1e-12):
-                    break
+            residual = abs(new_end - end) / max(new_end - start, 1e-12)
+            # Multiply rather than test ``residual <= rtol``: the quotient
+            # rounds differently and could move a phase's last round.
+            if abs(new_end - end) <= rtol * max(new_end - start, 1e-12):
+                break
         if self.tracer.enabled:
             pid = self.platform.name
             self.tracer.counter_add(
@@ -456,13 +502,6 @@ class SystemSimulator:
                 tid="relaxation",
             )
         return result
-
-    def _schedule_busy(self, schedule: Sequence[_ScheduledTask]) -> np.ndarray:
-        """Per-worker busy seconds of one phase schedule."""
-        busy = np.zeros(self.platform.num_cores)
-        for item in schedule:
-            busy[item.worker] += item.duration_s
-        return busy
 
     def _run_map(
         self,
@@ -512,13 +551,10 @@ class SystemSimulator:
                 tasks=tasks, row_of=row_of, dispatch=dispatch,
             )
 
-        schedule, end, queues, recovery = self._relax_phase(
-            schedule_fn, start, kv=False,
-            legacy_rounds=self.params.relaxation_iterations,
-        )
+        schedule, end, queues, recovery = self._relax_phase(schedule_fn, start)
         for item in schedule:
             busy[item.worker] += item.duration_s
-            self._record_task_energy(item.record, item.worker)
+        self._record_phase_energy(schedule)
         self._fold_recovery(recovery, busy)
         phases.append(PhaseStats(Phase.MAP, iteration, start, end))
         if self.tracer.enabled:
@@ -541,18 +577,11 @@ class SystemSimulator:
     def _map_durations(
         self, instructions: np.ndarray, l2: np.ndarray, mem: np.ndarray
     ) -> np.ndarray:
-        """(records, workers) task durations under current latencies.
-
-        Broadcasts the exact per-element operation order of
-        :meth:`_task_time_parts`, so entries are bit-identical to the
-        per-call scalar path."""
-        core = self.platform.core_params
-        compute = (instructions[:, None] / core.ipc) / self._worker_freqs[None, :]
-        round_trip = self.memory.l2_round_trip_all_s()[self._worker_nodes]
-        extra = self.memory.memory_extra_all_s()[self._worker_nodes]
-        stall = (
-            l2[:, None] * round_trip[None, :] + mem[:, None] * extra[None, :]
-        ) / core.mlp_overlap
+        """(records, workers) task durations under current latencies."""
+        compute, stall = self._compute_stall(
+            instructions[:, None], l2[:, None], mem[:, None],
+            np.arange(self.platform.num_cores)[None, :],
+        )
         return compute + stall
 
     def _schedule_map(
@@ -790,84 +819,71 @@ class SystemSimulator:
                 break
         return schedule, end
 
-    def _run_reduce(
+    def _run_barrier(
         self,
+        phase: Phase,
         records: Sequence[TaskRecord],
         start: float,
         busy: np.ndarray,
         phases: List[PhaseStats],
         iteration: int,
     ) -> float:
-        plan = self._kv_plan(records) if self.faults is None else None
+        """Run the reduce phase or one merge stage: one task per record,
+        all starting at the barrier, each pulling its key-value inputs
+        over the NoC."""
+        plan = self._kv_plan(records)
         schedule, end, recovery = self._relax_phase(
-            lambda: self._schedule_parallel(records, start, plan=plan),
-            start, kv=True,
-            legacy_rounds=self.params.relaxation_iterations,
-            plan=plan,
+            lambda: self._schedule_parallel(records, start, plan), start, plan
         )
         for item in schedule:
             busy[item.worker] += item.duration_s
-        self._record_kv_phase_energy(schedule, plan)
+        self._record_phase_energy(schedule, plan)
         self._fold_recovery(recovery, busy)
-        phases.append(PhaseStats(Phase.REDUCE, iteration, start, end))
+        phases.append(PhaseStats(phase, iteration, start, end))
         if self.tracer.enabled:
             self._trace_phase(phases[-1])
-            self._trace_tasks(schedule, Phase.REDUCE)
-            self.platform.network.sample_channel_occupancy(start)
-        return end
-
-    def _run_merge_stage(
-        self,
-        records: Sequence[TaskRecord],
-        start: float,
-        busy: np.ndarray,
-        phases: List[PhaseStats],
-        iteration: int,
-    ) -> float:
-        if not records:
-            return start
-        plan = self._kv_plan(records) if self.faults is None else None
-        schedule, end, recovery = self._relax_phase(
-            lambda: self._schedule_parallel(records, start, plan=plan),
-            start, kv=True, legacy_rounds=1,
-            plan=plan,
-        )
-        for item in schedule:
-            busy[item.worker] += item.duration_s
-        self._record_kv_phase_energy(schedule, plan)
-        self._fold_recovery(recovery, busy)
-        phases.append(PhaseStats(Phase.MERGE, iteration, start, end))
-        if self.tracer.enabled:
-            self._trace_phase(phases[-1])
-            self._trace_tasks(schedule, Phase.MERGE)
+            self._trace_tasks(schedule, phase)
             self.platform.network.sample_channel_occupancy(start)
         return end
 
     def _schedule_parallel(
-        self,
-        records: Sequence[TaskRecord],
-        start: float,
-        plan: Optional[_KvPlan] = None,
+        self, records: Sequence[TaskRecord], start: float, plan: _KvPlan
     ) -> Tuple[List[_ScheduledTask], float, Optional[_Recovery]]:
-        """One task per owning worker, all starting at the barrier.
+        """One task per record, all starting at the barrier.
 
-        Fault-free runs always carry a :class:`_KvPlan` (the callers
-        build one whenever ``faults is None``), and the whole phase is
-        evaluated in one vectorized pass.  Under fault injection the
-        phase runs record by record: a task whose home worker is dead (or
-        dies mid-execution) runs on a policy-chosen substitute instead."""
-        if self.faults is None:
-            return self._schedule_parallel_batched(records, start, plan)
+        Each record runs on its home worker, with every duration from
+        one :meth:`_barrier_durations` pass.  Under fault injection a
+        task whose home worker is dead (or dies mid-execution) runs on a
+        policy-chosen substitute instead
+        (:meth:`_execute_with_substitution`); a substitute's durations
+        come from the same evaluator, one pass per distinct worker."""
+        durations = self._barrier_durations(plan, plan.home)
+        faults = self.faults
+        recovery = _Recovery() if faults is not None else None
+        on_worker: Dict[int, np.ndarray] = {}
+
+        def duration_on(row: int, worker: int) -> float:
+            if worker == plan.home[row]:
+                return float(durations[row])
+            if worker not in on_worker:
+                on_worker[worker] = self._barrier_durations(
+                    plan, np.full(len(records), worker)
+                )
+            return float(on_worker[worker][row])
+
         schedule = []
-        end = start
-        recovery = _Recovery()
-        for record in records:
-            item, item_recovery = self._execute_with_substitution(
-                record, start, kv=True
-            )
-            recovery.merge(item_recovery)
+        for row, record in enumerate(records):
+            if faults is None:
+                item = _ScheduledTask(
+                    record, record.home_worker, start, float(durations[row])
+                )
+            else:
+                item, item_recovery = self._execute_with_substitution(
+                    record, start, partial(duration_on, row)
+                )
+                recovery.merge(item_recovery)
             schedule.append(item)
-            end = max(end, item.end_s)
+        end = max([start] + [item.end_s for item in schedule])
         return schedule, end, recovery
 
     def _kv_plan(self, records: Sequence[TaskRecord]) -> _KvPlan:
@@ -898,7 +914,6 @@ class SystemSimulator:
         bits = np.array(kv_bits, dtype=float)
         return _KvPlan(
             home=home,
-            nodes=np.asarray(worker_nodes)[home],
             instructions=instructions,
             l2=l2,
             mem=mem,
@@ -911,69 +926,72 @@ class SystemSimulator:
             width=int(np.diff(bounds).max()) if count else 0,
         )
 
-    def _schedule_parallel_batched(
-        self, records: Sequence[TaskRecord], start: float, plan: _KvPlan
-    ) -> Tuple[List[_ScheduledTask], float, None]:
-        """Vectorized barrier phase: one pass over the plan's arrays.
+    def _kv_sources(self, record: TaskRecord) -> List[Tuple[int, float]]:
+        """(source worker, bytes) pairs this task pulls over the NoC."""
+        sources: List[Tuple[int, float]] = []
+        for src, nbytes in record.input_bytes_by_worker.items():
+            if src != record.home_worker and nbytes > 0:
+                sources.append((src, nbytes))
+        if record.partner_worker is not None and record.cost.kv_bytes_in > 0:
+            if record.partner_worker != record.home_worker:
+                sources.append((record.partner_worker, record.cost.kv_bytes_in))
+        return sources
 
-        Bit-equal, by construction, to the per-record
-        ``_task_time + _kv_pull_time`` sum the faulted path evaluates:
+    def _barrier_durations(
+        self, plan: _KvPlan, workers: np.ndarray
+    ) -> np.ndarray:
+        """Durations of the plan's records under the current latencies,
+        record ``i`` running on ``workers[i]``.
 
-        * compute/stall mirror :meth:`_task_time_parts`'s operation
-          order exactly (the same broadcast pattern
-          :meth:`_map_durations` pins against the scalar path);
+        A task's duration is its compute plus memory stall
+        (:meth:`_compute_stall`) plus the time to stream each remote
+        key-value input into the executing worker's node: the bulk-class
+        zero-payload latency, the first chunk's serialization at the raw
+        path rate, and the whole stream at the effective path capacity
+        (infinite rates cost nothing).  Two details keep every float
+        fixed:
+
         * each source's head term divides in the latency table's own
           dtype -- ``pyfloat / float32_scalar`` computes in float32
-          under NEP 50, so the gathered float32 rates must see float32
-          numerators to reproduce the scalar bits;
+          under NEP 50, so gathered float32 rates must see float32
+          numerators;
         * per-record source sums run through one zero-padded
-          ``np.add.accumulate`` (sequential float64 recurrence ==
-          :meth:`_kv_pull_time`'s ``total += term`` loop; trailing zero
-          pads are exact no-ops for the non-negative terms).
+          ``np.add.accumulate``, a sequential float64 recurrence in
+          source order (trailing zero pads are exact no-ops for the
+          non-negative terms).
         """
-        if not len(records):
-            return [], start, None
-        core = self.platform.core_params
-        freqs = self._worker_freqs[plan.home]
-        compute = (plan.instructions / core.ipc) / freqs
-        round_trip = self.memory.l2_round_trip_all_s()[plan.nodes]
-        extra = self.memory.memory_extra_all_s()[plan.nodes]
-        stall = (plan.l2 * round_trip + plan.mem * extra) / core.mlp_overlap
-        task_time = compute + stall
-        if len(plan.kv_rec):
-            memory = self.memory
-            base = memory.bulk_base_latency_s
-            raw = memory.bulk_raw_bottleneck_bps
-            effective = memory.bulk_capacity_bps
-            dst = plan.nodes[plan.kv_rec]
-            raw_g = raw[plan.kv_src, dst]
-            cap_g = effective[plan.kv_src, dst]
-            minbits = plan.kv_minbits.astype(raw_g.dtype, copy=False)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                head_ser = np.where(
-                    np.isfinite(raw_g), minbits / raw_g, 0.0
-                )
-                streaming = np.where(
-                    np.isfinite(cap_g), plan.kv_bits / cap_g, 0.0
-                )
-            terms = (base[plan.kv_src, dst] + head_ser) + streaming
-            pad = np.zeros((len(records), plan.width))
-            pad[plan.kv_rec, plan.kv_slot] = terms
-            totals = np.add.accumulate(pad, axis=1)[:, -1]
-            durations = task_time + totals
-        else:
-            durations = task_time + 0.0
-        schedule = [
-            _ScheduledTask(record, record.home_worker, start, float(durations[i]))
-            for i, record in enumerate(records)
-        ]
-        end = max(start, float((start + durations).max()))
-        return schedule, end, None
+        compute, stall = self._compute_stall(
+            plan.instructions, plan.l2, plan.mem, workers
+        )
+        durations = compute + stall
+        if not len(plan.kv_rec):
+            return durations
+        memory = self.memory
+        dst = self._worker_nodes[workers][plan.kv_rec]
+        raw_g = memory.bulk_raw_bottleneck_bps[plan.kv_src, dst]
+        cap_g = memory.bulk_capacity_bps[plan.kv_src, dst]
+        minbits = plan.kv_minbits.astype(raw_g.dtype, copy=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            head_ser = np.where(np.isfinite(raw_g), minbits / raw_g, 0.0)
+            streaming = np.where(
+                np.isfinite(cap_g), plan.kv_bits / cap_g, 0.0
+            )
+        terms = (
+            memory.bulk_base_latency_s[plan.kv_src, dst] + head_ser
+        ) + streaming
+        pad = np.zeros((len(durations), plan.width))
+        pad[plan.kv_rec, plan.kv_slot] = terms
+        return durations + np.add.accumulate(pad, axis=1)[:, -1]
 
     def _execute_with_substitution(
-        self, record: TaskRecord, start: float, kv: bool
+        self,
+        record: TaskRecord,
+        start: float,
+        duration_on: Callable[[int], float],
     ) -> Tuple[_ScheduledTask, _Recovery]:
-        """Run one barrier-phase task to completion despite core failures.
+        """Run one serial or barrier-phase task to completion despite core
+        failures; ``duration_on(worker)`` is the task's duration on
+        ``worker``.
 
         The execution chain is deterministic: a dead home worker is
         replaced per the resilience policy's substitute order; an
@@ -998,9 +1016,7 @@ class SystemSimulator:
                     )
                 worker = substitute
                 recovery.substitutions += 1
-            duration = self._task_time(record, worker)
-            if kv:
-                duration += self._kv_pull_time(record, worker)
+            duration = duration_on(worker)
             fail = float(faults.fail_time[worker])
             if t + duration <= fail:
                 return _ScheduledTask(record, worker, t, duration), recovery
@@ -1032,73 +1048,23 @@ class SystemSimulator:
     # task-level models
     # ------------------------------------------------------------------ #
 
-    def _task_time(self, record: TaskRecord, worker: int) -> float:
-        """Compute + memory-stall time of one task on *worker*'s core."""
-        compute, stall = self._task_time_parts(record, worker)
-        return compute + stall
+    def _compute_stall(self, instructions, l2, mem, workers):
+        """(compute, memory stall) seconds of tasks run on *workers*.
 
-    def _task_time_parts(
-        self, record: TaskRecord, worker: int
-    ) -> Tuple[float, float]:
-        """(compute, memory stall) seconds of one task on *worker*'s core."""
-        platform = self.platform
-        node = platform.node_of_worker(worker)
-        # The effective frequency map: identical floats to
-        # ``platform.frequency_of_worker`` on fault-free runs, degraded by
-        # stragglers/throttles under fault injection.
-        frequency = float(self._worker_freqs[worker])
-        cost = record.cost
-        compute = cost.instructions / platform.core_params.ipc / frequency
-        stall = self.memory.task_stall_s(
-            node,
-            cost.l2_accesses,
-            cost.memory_accesses,
-            platform.core_params.mlp_overlap,
-        )
+        Task costs and worker ids broadcast like numpy operands, so one
+        helper serves a single task, a phase of records on their
+        workers, and the map phase's (records x workers) matrix.  The
+        frequency map is the effective one: the platform's on clean
+        runs, degraded by stragglers and throttles under fault
+        injection."""
+        core = self.platform.core_params
+        nodes = self._worker_nodes[workers]
+        compute = (instructions / core.ipc) / self._worker_freqs[workers]
+        stall = (
+            l2 * self.memory.l2_round_trip_all_s()[nodes]
+            + mem * self.memory.memory_extra_all_s()[nodes]
+        ) / core.mlp_overlap
         return compute, stall
-
-    def _kv_sources(self, record: TaskRecord) -> List[Tuple[int, float]]:
-        """(source worker, bytes) pairs this task pulls over the NoC."""
-        sources: List[Tuple[int, float]] = []
-        for src, nbytes in record.input_bytes_by_worker.items():
-            if src != record.home_worker and nbytes > 0:
-                sources.append((src, nbytes))
-        if record.partner_worker is not None and record.cost.kv_bytes_in > 0:
-            if record.partner_worker != record.home_worker:
-                sources.append((record.partner_worker, record.cost.kv_bytes_in))
-        return sources
-
-    def _kv_pull_time(self, record: TaskRecord, worker: int) -> float:
-        """Time to stream the task's remote key-value inputs.
-
-        Evaluated from the memory system's refreshed bulk-class matrices
-        (zero-payload head latency, raw serialization rate and effective
-        path capacity), so each source costs a few table lookups instead
-        of two path walks."""
-        sources = self._kv_sources(record)
-        if not sources:
-            return 0.0
-        memory = self.memory
-        base = memory.bulk_base_latency_s
-        raw = memory.bulk_raw_bottleneck_bps
-        effective = memory.bulk_capacity_bps
-        dst = self._worker_nodes[worker]
-        total = 0.0
-        for src_worker, nbytes in sources:
-            src = self._worker_nodes[src_worker]
-            bits = kv_stream_bits(nbytes, self.params.kv_chunk_bytes)
-            line_rate = raw[src, dst]
-            head = base[src, dst] + (
-                min(bits, self._kv_chunk_bits) / line_rate
-                if np.isfinite(line_rate)
-                else 0.0
-            )
-            capacity = effective[src, dst]
-            streaming = bits / capacity if np.isfinite(capacity) else 0.0
-            total += head + streaming
-        # Plain float: this feeds schedule timestamps that end up in JSON
-        # telemetry exports.
-        return float(total)
 
     # ------------------------------------------------------------------ #
     # telemetry
@@ -1127,8 +1093,16 @@ class SystemSimulator:
         """
         tracer = self.tracer
         pid = self.platform.name
-        for item in schedule:
-            compute, stall = self._task_time_parts(item.record, item.worker)
+        costs = [item.record.cost for item in schedule]
+        computes, stalls = self._compute_stall(
+            np.array([cost.instructions for cost in costs]),
+            np.array([cost.l2_accesses for cost in costs]),
+            np.array([cost.memory_accesses for cost in costs]),
+            np.array([item.worker for item in schedule], dtype=np.int64),
+        )
+        for item, compute, stall in zip(
+            schedule, computes.tolist(), stalls.tolist()
+        ):
             kv_pull = max(item.duration_s - compute - stall, 0.0)
             tracer.span(
                 f"{phase.value}:{item.record.task_id}",
@@ -1154,92 +1128,63 @@ class SystemSimulator:
         self,
         schedule: Sequence[_ScheduledTask],
         phase_duration: float,
-        kv: bool = False,
         plan: Optional[_KvPlan] = None,
     ) -> None:
         """Convert a phase schedule into sustained flows on the NoC.
 
         Miss traffic is registered with one batched mat-vec over every
-        node's accumulated access rate; key-value streams are registered
-        with one batched ``add_flows`` call.  With a :class:`_KvPlan`
-        (barrier phases, fault-free -- where the schedule is the record
-        list in order) both inputs come straight from the plan's flat
-        arrays, in the same accumulation order as the schedule walk.
+        node's access rate, accumulated in schedule order.  A barrier
+        phase's schedule is its *plan*'s records in order, so its
+        key-value streams come straight from the plan's flat arrays --
+        each stream ending at its record's executing worker -- in one
+        batched ``add_flows`` call.
         """
         network = self.platform.network
         network.reset_flows()
-        if plan is not None and self.faults is None:
-            accesses_per_node = np.zeros(self.platform.num_cores)
-            np.add.at(accesses_per_node, plan.nodes, plan.l2)
-            self.memory.add_miss_flows_batch(accesses_per_node / phase_duration)
-            if kv:
-                network.add_flows(
-                    plan.kv_src,
-                    plan.nodes[plan.kv_rec],
-                    plan.kv_bits / phase_duration,
-                    bulk=True,
-                )
-            return
+        nodes = self._worker_nodes[[item.worker for item in schedule]]
         accesses_per_node = np.zeros(self.platform.num_cores)
-        for item in schedule:
-            node = self._worker_nodes[item.worker]
-            accesses_per_node[node] += item.record.cost.l2_accesses
-        self.memory.add_miss_flows_batch(accesses_per_node / phase_duration)
-        if kv:
-            srcs: List[int] = []
-            dsts: List[int] = []
-            rates: List[float] = []
-            for item in schedule:
-                dst = self._worker_nodes[item.worker]
-                for src_worker, nbytes in self._kv_sources(item.record):
-                    bits = kv_stream_bits(nbytes, self.params.kv_chunk_bytes)
-                    srcs.append(self._worker_nodes[src_worker])
-                    dsts.append(dst)
-                    rates.append(bits / phase_duration)
-            network.add_flows(srcs, dsts, rates, bulk=True)
-
-    def _record_task_energy(
-        self, record: TaskRecord, worker: int, kv: bool = False
-    ) -> None:
-        self._committed[worker] += record.cost.instructions
-        node = self.platform.node_of_worker(worker)
-        self.memory.record_miss_energy(
-            node, record.cost.l2_accesses, record.cost.memory_accesses
+        np.add.at(
+            accesses_per_node,
+            nodes,
+            [item.record.cost.l2_accesses for item in schedule],
         )
-        if kv:
-            for src_worker, nbytes in self._kv_sources(record):
-                src = self.platform.node_of_worker(src_worker)
-                bits = kv_stream_bits(nbytes, self.params.kv_chunk_bytes)
-                self._bulk_energy.record(src, node, bits)
+        self.memory.add_miss_flows_batch(accesses_per_node / phase_duration)
+        if plan is not None:
+            network.add_flows(
+                plan.kv_src,
+                nodes[plan.kv_rec],
+                plan.kv_bits / phase_duration,
+                bulk=True,
+            )
 
-    def _record_kv_phase_energy(
+    def _record_phase_energy(
         self,
-        schedule: List[_ScheduledTask],
-        plan: Optional[_KvPlan],
+        schedule: Sequence[_ScheduledTask],
+        plan: Optional[_KvPlan] = None,
     ) -> None:
-        """Fold a kv phase's committed work and energy counters.
+        """Fold a committed phase's work and energy counters.
 
-        With a plan the committed-instruction fold is one ``np.add.at``
-        (element order == record order == the scalar loop's accumulation
-        order) and the kv source lists / stream-bit computations are
-        reused instead of rebuilt per record.  The miss-energy and
-        kv-transfer recordings stay *interleaved per record*: both feed
-        the same pairwise energy counters, so splitting them into two
-        bulk passes would reorder the float accumulation.
+        Per task, in schedule order: its instructions are committed on
+        its worker, and its miss traffic -- plus, for a barrier phase,
+        its *plan* key-value streams -- is billed at the worker's node.
+        The miss-energy and kv-transfer recordings stay *interleaved per
+        record*: both feed the same pairwise energy counters, so
+        splitting them into two bulk passes would reorder the float
+        accumulation.
         """
-        if plan is None:
-            for item in schedule:
-                self._record_task_energy(item.record, item.worker, kv=True)
-            return
-        np.add.at(self._committed, plan.home, plan.instructions)
+        committed = self._committed
         record_miss = self.memory.record_miss_energy
         record_bulk = self._bulk_energy.record
-        bounds = plan.kv_bounds
-        for i in range(len(plan.home)):
-            node = int(plan.nodes[i])
-            record_miss(node, plan.l2[i], plan.mem[i])
-            for f in range(bounds[i], bounds[i + 1]):
-                record_bulk(int(plan.kv_src[f]), node, float(plan.kv_bits[f]))
+        for row, item in enumerate(schedule):
+            cost = item.record.cost
+            committed[item.worker] += cost.instructions
+            node = int(self._worker_nodes[item.worker])
+            record_miss(node, cost.l2_accesses, cost.memory_accesses)
+            if plan is not None:
+                for f in range(plan.kv_bounds[row], plan.kv_bounds[row + 1]):
+                    record_bulk(
+                        int(plan.kv_src[f]), node, float(plan.kv_bits[f])
+                    )
 
     # ------------------------------------------------------------------ #
 
@@ -1250,101 +1195,19 @@ class SystemSimulator:
         busy: np.ndarray,
         phases: List[PhaseStats],
     ) -> SimulationResult:
-        if self.faults is not None or self.governor is not None:
-            return self._finalize_segmented(trace, total_time, busy, phases)
-        platform = self.platform
-        breakdown = EnergyBreakdown()
-        for worker in range(platform.num_cores):
-            point = platform.vf_of_worker(worker)
-            busy_s = float(min(busy[worker], total_time))
-            idle_s = max(total_time - busy_s, 0.0)
-            power = platform.core_power_of(platform.island_of_worker(worker))
-            breakdown.core_dynamic_j += (
-                power.dynamic_power_w(point, 1.0) * busy_s
-                + power.dynamic_power_w(point, power.params.idle_activity) * idle_s
-            )
-            breakdown.core_static_j += power.leakage_power_w(point) * total_time
-        network = platform.network
-        breakdown.noc_dynamic_j = network.energy.dynamic_joules
-        breakdown.noc_static_j = network.static_energy(total_time)
-        stats = NetworkStats(
-            bits_moved=network.energy.bits_moved,
-            average_hops=network.energy.average_hops,
-            wireless_fraction=network.energy.wireless_fraction,
-            dynamic_energy_j=breakdown.noc_dynamic_j,
-            static_energy_j=breakdown.noc_static_j,
-        )
-        return SimulationResult(
-            app_name=trace.app_name,
-            platform_name=platform.name,
-            total_time_s=total_time,
-            busy_s=busy,
-            committed_instructions=self._committed.copy(),
-            worker_frequencies_hz=np.array(platform.effective_worker_frequencies()),
-            issue_width=platform.core_params.issue_width,
-            phases=phases,
-            energy=breakdown,
-            network=stats,
-        )
+        """Close the last energy segment and fold the run's segments.
 
-    def _finalize_segmented(
-        self,
-        trace: JobTrace,
-        total_time: float,
-        busy: np.ndarray,
-        phases: List[PhaseStats],
-    ) -> SimulationResult:
-        """Segmented energy accounting for faulted and/or capped runs.
-
-        Each platform configuration the run passed through (throttles,
-        degraded fabrics, governor cap assignments) is one segment
-        charged at its own V/F and with its own network's accumulated
-        dynamic energy -- the same bookkeeping
-        :class:`repro.sim.adaptive.PhaseAdaptiveSimulator` uses for
-        per-phase V/F switching.  Lost (killed) intervals were folded
-        into ``busy``, so wasted dynamic energy is charged; dead cores
-        keep burning idle and leakage power (a functional failure is not
-        a power-gated core).  The result reports the *base* platform's
+        A clean run is one segment; throttles, degraded fabrics and
+        governor cap assignments each add one (see
+        :func:`fold_segments`).  The result reports the *base* platform's
         name and frequencies so downstream normalization compares
         degraded runs against their clean counterparts.
         """
         if self.governor is not None:
             self.governor.finish(total_time)
         self._close_segment(total_time)
+        breakdown, stats = fold_segments(self._segments)
         base = self._base_platform
-        num_workers = base.num_cores
-        breakdown = EnergyBreakdown()
-        bits = hops_bits = wireless = dynamic = static = 0.0
-        for segment in self._segments:
-            platform = segment.platform
-            elapsed = segment.elapsed_s
-            for worker in range(num_workers):
-                power = platform.core_power_of(platform.island_of_worker(worker))
-                point = platform.vf_of_worker(worker)
-                busy_s = float(min(segment.busy_s[worker], elapsed))
-                idle_s = max(elapsed - busy_s, 0.0)
-                breakdown.core_dynamic_j += (
-                    power.dynamic_power_w(point, 1.0) * busy_s
-                    + power.dynamic_power_w(point, power.params.idle_activity)
-                    * idle_s
-                )
-                breakdown.core_static_j += (
-                    power.leakage_power_w(point) * elapsed
-                )
-            dynamic += segment.noc_dynamic_j
-            static += segment.noc_static_j
-            bits += segment.bits_moved
-            hops_bits += segment.bit_hops
-            wireless += segment.wireless_bits
-        breakdown.noc_dynamic_j = dynamic
-        breakdown.noc_static_j = static
-        stats = NetworkStats(
-            bits_moved=bits,
-            average_hops=hops_bits / bits if bits else 0.0,
-            wireless_fraction=wireless / bits if bits else 0.0,
-            dynamic_energy_j=dynamic,
-            static_energy_j=static,
-        )
         return SimulationResult(
             app_name=trace.app_name,
             platform_name=base.name,

@@ -181,3 +181,37 @@ def test_cluster_replay_malformed_record_is_one_line(
     assert rc == 2
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("repro: error: malformed cluster record: ")
+
+
+GOLDEN_TRACE = GOLDEN_RECORD.parent / "smoke.trace.json"
+
+
+def _unknown_trace_job_key(data):
+    data["jobs"][0]["bogus"] = 1
+
+
+def _missing_jobs(data):
+    del data["jobs"]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _unknown_trace_job_key,
+        _missing_jobs,
+        None,  # the whole trace is a JSON list
+    ],
+)
+def test_cluster_run_malformed_trace_is_one_line(capsys, tmp_path, corrupt):
+    data = json.loads(GOLDEN_TRACE.read_text())
+    if corrupt is None:
+        data = [data]
+    else:
+        corrupt(data)
+    trace = tmp_path / "bad.trace.json"
+    trace.write_text(json.dumps(data))
+    rc = main(["cluster", "run", "--trace", str(trace), "--policy", "fifo"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("repro: error: malformed arrival trace: ")

@@ -1,10 +1,14 @@
 """Memory-system model: bank distribution, latency, energy expectations."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.core.platforms import build_nvfi_mesh
+from repro.core.platforms import build_nvfi_mesh, geometry_for
+from repro.sim.config import CoreParams
 from repro.sim.memory import MemorySystem
+from repro.sim.system import SystemSimulator
 
 
 @pytest.fixture(scope="module")
@@ -15,6 +19,12 @@ def memory_uniform():
 @pytest.fixture(scope="module")
 def memory_local():
     return MemorySystem(build_nvfi_mesh(), locality=0.8)
+
+
+def simulator_with(core_params):
+    """A simulator on a 16-core mesh whose cores use *core_params*."""
+    platform = replace(build_nvfi_mesh(geometry_for(16)), core_params=core_params)
+    return SystemSimulator(platform)
 
 
 class TestBankDistribution:
@@ -39,8 +49,7 @@ class TestBankDistribution:
 
 class TestLatency:
     def test_round_trip_positive(self, memory_uniform):
-        for node in range(0, 64, 9):
-            assert memory_uniform.l2_round_trip_s(node) > 0
+        assert (memory_uniform.l2_round_trip_all_s() > 0).all()
 
     def test_local_traffic_is_faster(self, memory_uniform, memory_local):
         assert (
@@ -50,22 +59,28 @@ class TestLatency:
 
     def test_memory_extra_includes_dram(self, memory_uniform):
         dram = memory_uniform.platform.memory_params.dram_latency_s
-        for node in range(0, 64, 13):
-            assert memory_uniform.memory_extra_s(node) >= dram
+        assert (memory_uniform.memory_extra_all_s() >= dram).all()
 
-    def test_stall_scales_with_accesses(self, memory_uniform):
-        one = memory_uniform.task_stall_s(0, 100, 10, mlp=4)
-        two = memory_uniform.task_stall_s(0, 200, 20, mlp=4)
+    def test_stall_scales_with_accesses(self):
+        simulator = simulator_with(CoreParams(mlp_overlap=4))
+        _, one = simulator._compute_stall(0.0, 100, 10, 0)
+        _, two = simulator._compute_stall(0.0, 200, 20, 0)
         assert two == pytest.approx(2 * one)
 
-    def test_mlp_divides_stall(self, memory_uniform):
-        assert memory_uniform.task_stall_s(0, 100, 0, mlp=4) == pytest.approx(
-            memory_uniform.task_stall_s(0, 100, 0, mlp=2) / 2
+    def test_mlp_divides_stall(self):
+        _, four = simulator_with(CoreParams(mlp_overlap=4))._compute_stall(
+            0.0, 100, 0, 0
         )
+        _, two = simulator_with(CoreParams(mlp_overlap=2))._compute_stall(
+            0.0, 100, 0, 0
+        )
+        assert four == pytest.approx(two / 2)
 
-    def test_bad_mlp_rejected(self, memory_uniform):
+    def test_bad_mlp_rejected(self):
+        # The stall model divides by the core's MLP overlap, so a
+        # non-positive one never reaches a platform.
         with pytest.raises(ValueError):
-            memory_uniform.task_stall_s(0, 1, 0, mlp=0)
+            CoreParams(mlp_overlap=0)
 
     def test_load_raises_latency(self):
         memory = MemorySystem(build_nvfi_mesh(), locality=0.0)
